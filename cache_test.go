@@ -34,7 +34,7 @@ func collectWithMetrics(t *testing.T, sess *skysql.Session, query string) ([]sky
 
 // TestResultCacheBitIdenticalAcrossAblations is the cache's core public
 // contract: across every skyline strategy and every bit-identical
-// ablation (fusion, columnar kernel, vectorized expressions), a cache
+// ablation (columnar kernel, vectorized expressions), a cache
 // hit returns exactly — row for row, in order — what a cold recompute
 // returns, and the hit/miss counters account for every run.
 func TestResultCacheBitIdenticalAcrossAblations(t *testing.T) {
@@ -58,7 +58,6 @@ func TestResultCacheBitIdenticalAcrossAblations(t *testing.T) {
 		opts []skysql.Option
 	}{
 		{"default", nil},
-		{"no-fusion", []skysql.Option{skysql.WithoutStageFusion()}},
 		{"no-kernel", []skysql.Option{skysql.WithoutColumnarKernel()}},
 		{"no-vector", []skysql.Option{skysql.WithoutVectorizedExprs()}},
 	}

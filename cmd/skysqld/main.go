@@ -40,6 +40,30 @@ import (
 	"skysql/internal/server"
 )
 
+// Connection limits of the HTTP server. A client gets readHeaderTimeout
+// to deliver its request headers and may hold an idle keep-alive
+// connection for idleTimeout, so a slow or stalled client cannot pin a
+// connection forever. Request bodies and responses are deliberately not
+// time-bounded (ReadTimeout and WriteTimeout stay unset): /tables uploads
+// run up to 64 MiB and queries may run long; -timeout bounds those.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer builds the server for addr with the connection limits
+// above, taking the header timeout as a parameter so a test can shorten it.
+func newHTTPServer(addr string, h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 type tableFlag []string
 
 func (t *tableFlag) String() string     { return strings.Join(*t, ",") }
@@ -105,7 +129,7 @@ func main() {
 		fmt.Printf("skysqld: registered synthetic table t (%d rows, %d dims, anti-correlated)\n", rows, dims)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: server.New(sess)}
+	srv := newHTTPServer(*addr, server.New(sess), readHeaderTimeout)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

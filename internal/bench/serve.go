@@ -373,12 +373,11 @@ func runServeGovernor(cfg Config, w io.Writer, spec func(int, string, int, float
 	// checkpoints without ever being seen under pressure.
 	nGov := 20000
 	govSQL := mixShapes[0]
-	// Serial execution (one executor, morsels off) makes the allocation
-	// trajectory — and therefore the checkpoint at which the ladder
-	// engages — deterministic.
+	// Serial execution (one executor: a one-worker pool, so morsels stay
+	// off) makes the allocation trajectory — and therefore the checkpoint
+	// at which the ladder engages — deterministic.
 	newGovSession := func(budget int64) (*skysql.Session, *httptest.Server) {
 		sess := skysql.NewSession(skysql.WithExecutors(1),
-			skysql.WithoutMorselParallelism(),
 			skysql.WithGlobalMemoryBudget(budget))
 		sess.RegisterTable(datagen.Synthetic(datagen.AntiCorrelated, nGov, dims,
 			datagen.Config{Seed: cfg.Seed, Complete: true}))

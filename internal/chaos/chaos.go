@@ -9,8 +9,8 @@
 // faults — and therefore the retry counters benchdiff gates on — depends
 // only on the key tuple, never on timing or worker interleaving. The same
 // seed over the same plan injects the same faults whether the run executes
-// serially in simulate mode, on the per-stage goroutine loop, or on the
-// work-stealing pool under the race detector.
+// serially in simulate mode or on the work-stealing pool under the race
+// detector.
 package chaos
 
 import "time"

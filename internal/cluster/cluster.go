@@ -599,8 +599,7 @@ func (m *Metrics) FormatStageTimes() string {
 
 // AddStage records one scheduled stage: a wave of per-partition tasks
 // submitted in one MapPartitions round. Under stage-fused execution a
-// whole pipeline of narrow operators costs a single stage, where the
-// per-operator path pays one per operator.
+// whole pipeline of narrow operators costs a single stage.
 func (m *Metrics) AddStage() {
 	if m != nil {
 		m.stages.Add(1)
@@ -748,10 +747,10 @@ type Context struct {
 	DisableCostGate bool
 
 	// Pool, when non-nil, runs task rounds on a persistent work-stealing
-	// worker pool instead of spawning goroutines per stage. The pool is
-	// owned by the caller (typically the session) and may be shared by
-	// concurrent queries. Ignored in Simulate mode, where tasks run
-	// serially by definition.
+	// worker pool owned by the caller (typically the session) and possibly
+	// shared by concurrent queries. When nil, each round runs on a pool of
+	// min(Executors, tasks) workers created for that round. Ignored in
+	// Simulate mode, where tasks run serially by definition.
 	Pool *WorkerPool
 
 	// MorselParallel lets splittable task rounds cut large partitions into
@@ -1095,10 +1094,10 @@ func (c *Context) RunMorsels(tasks []func() error) error {
 }
 
 // runTasks executes one round of tasks under the context's execution mode:
-// serial discrete-event simulation (Simulate), the persistent work-stealing
-// pool (Pool), or the classic per-stage goroutine loop. homes, when
-// non-nil, marks a morsel round and gives each task's home worker for
-// steal accounting; nil rounds skip the modeled steal/busy bookkeeping.
+// serial discrete-event simulation (Simulate) or the work-stealing pool —
+// the context's persistent Pool, else a pool of min(Executors, tasks)
+// workers created for this round. homes, when non-nil, marks a morsel
+// round and gives each task's home worker for steal accounting.
 func (c *Context) runTasks(tasks []func() error, homes []int) error {
 	if len(tasks) == 0 {
 		return nil
@@ -1106,44 +1105,41 @@ func (c *Context) runTasks(tasks []func() error, homes []int) error {
 	if c.Simulate {
 		return c.runTasksSimulated(tasks, homes)
 	}
+	pool := c.Pool
+	if pool == nil {
+		pool = NewWorkerPool(min(c.Executors, len(tasks)))
+		defer pool.Close()
+	}
 	start := time.Now()
-	var err error
-	if c.Pool != nil {
-		poolTasks := make([]Task, len(tasks))
-		for i := range tasks {
-			home := i
-			if homes != nil {
-				home = homes[i]
-			}
-			poolTasks[i] = Task{Home: home, Run: tasks[i]}
+	poolTasks := make([]Task, len(tasks))
+	for i := range tasks {
+		home := i
+		if homes != nil {
+			home = homes[i]
 		}
-		var busy atomic.Int64
-		err = c.Pool.RunBatch(poolTasks, c.Canceled, func(worker int, stolen bool, d time.Duration) {
-			if stolen {
-				c.Metrics.AddSteal()
-			}
-			c.Metrics.AddWorkerBusy(worker, d)
-			busy.Add(int64(d))
-		})
-		// The pool only knows the ErrCanceled sentinel; when the context
-		// recorded a richer cause (a deadline, a budget failure), surface it.
-		if errors.Is(err, ErrCanceled) {
-			if cause := c.CheckCanceled(); cause != nil {
-				err = cause
-			}
-		}
-		if err == nil {
-			wall := time.Since(start)
-			c.Metrics.AddStageTime(len(tasks), wall)
-			c.Metrics.AddParallelRound(time.Duration(busy.Load()), wall)
-		}
-		return err
+		poolTasks[i] = Task{Home: home, Run: tasks[i]}
 	}
-	if err = c.runTasksGoroutines(tasks); err != nil {
-		return err
+	var busy atomic.Int64
+	err := pool.RunBatch(poolTasks, c.Canceled, func(worker int, stolen bool, d time.Duration) {
+		if stolen {
+			c.Metrics.AddSteal()
+		}
+		c.Metrics.AddWorkerBusy(worker, d)
+		busy.Add(int64(d))
+	})
+	// The pool only knows the ErrCanceled sentinel; when the context
+	// recorded a richer cause (a deadline, a budget failure), surface it.
+	if errors.Is(err, ErrCanceled) {
+		if cause := c.CheckCanceled(); cause != nil {
+			err = cause
+		}
 	}
-	c.Metrics.AddStageTime(len(tasks), time.Since(start))
-	return nil
+	if err == nil {
+		wall := time.Since(start)
+		c.Metrics.AddStageTime(len(tasks), wall)
+		c.Metrics.AddParallelRound(time.Duration(busy.Load()), wall)
+	}
+	return err
 }
 
 // runTasksSimulated runs the round serially, measures each task, and
@@ -1190,52 +1186,6 @@ func (c *Context) runTasksSimulated(tasks []func() error, homes []int) error {
 		}
 		c.Metrics.AddSteals(steals)
 		c.Metrics.AddParallelRound(busy, makespan)
-	}
-	return nil
-}
-
-// runTasksGoroutines is the classic per-stage scheduling loop: Executors
-// goroutines pulling tasks off a shared index. Workers re-check the
-// round's error slot before every pull, so one failed or canceled task
-// stops the round promptly instead of letting the remaining workers drain
-// every task that was still queued.
-func (c *Context) runTasksGoroutines(tasks []func() error) error {
-	n := len(tasks)
-	workers := c.Executors
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		firstErr atomic.Value
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if firstErr.Load() != nil {
-					return
-				}
-				if err := c.CheckCanceled(); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				if err := tasks[i](); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.Load(); err != nil {
-		return err.(error)
 	}
 	return nil
 }

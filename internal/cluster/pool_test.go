@@ -136,10 +136,12 @@ func TestWorkerPoolObserveReportsSteals(t *testing.T) {
 	}
 }
 
-// TestGoroutineRoundStopsAfterError pins the fail-fast behaviour of the
-// legacy per-stage goroutine loop: workers re-check the round's error slot
-// before every pull, so one failed partition stops the round instead of
-// letting the other workers drain all remaining tasks.
+// TestGoroutineRoundStopsAfterError pins the fail-fast behaviour of a
+// round on a context without a session pool: the round runs on a pool
+// created for it, whose batch abort skips every task still queued once one
+// task fails, instead of letting the other workers drain them all. The
+// pool pops its deques last-in-first-out, so partition 0 is not the first
+// to run; whichever task runs first fails.
 func TestGoroutineRoundStopsAfterError(t *testing.T) {
 	ctx := NewContext(2)
 	parts := make([][]types.Row, 100)
@@ -150,8 +152,7 @@ func TestGoroutineRoundStopsAfterError(t *testing.T) {
 	boom := errors.New("boom")
 	var executed atomic.Int64
 	_, err := ctx.MapPartitions(d, func(i int, part []types.Row) ([]types.Row, error) {
-		executed.Add(1)
-		if i == 0 {
+		if executed.Add(1) == 1 {
 			return nil, boom
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -162,6 +163,27 @@ func TestGoroutineRoundStopsAfterError(t *testing.T) {
 	}
 	if n := executed.Load(); n >= 100 {
 		t.Errorf("all %d partitions ran despite the early error; round did not fail fast", n)
+	}
+}
+
+// TestUnpooledRoundRecordsWorkerStats pins that a real round on a bare
+// context runs on the work-stealing pool: it records per-worker busy time
+// and achieved parallelism exactly like a round on a session pool.
+func TestUnpooledRoundRecordsWorkerStats(t *testing.T) {
+	ctx := NewContext(2)
+	d := &Dataset{Parts: [][]types.Row{rows(1, 2), rows(3), rows(4, 5)}}
+	_, err := ctx.MapPartitions(d, func(i int, part []types.Row) ([]types.Row, error) {
+		time.Sleep(time.Millisecond)
+		return part, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if busy := ctx.Metrics.WorkerBusy(); len(busy) == 0 {
+		t.Error("round on a bare context recorded no per-worker busy time")
+	}
+	if p := ctx.Metrics.AchievedParallelism(); p <= 0 {
+		t.Errorf("achieved parallelism = %v, want > 0", p)
 	}
 }
 

@@ -5,9 +5,9 @@ package cluster
 // deterministic fault injection (internal/chaos), and the enforced memory
 // budget with its graceful-degradation ladder.
 //
-// Retry wraps the task closure itself, so every execution path — the
-// serial simulate loop, the per-stage goroutine loop, and the
-// work-stealing pool — gets identical semantics: a task attempt that fails
+// Retry wraps the task closure itself, so both execution paths — the
+// serial simulate loop and the work-stealing pool — get identical
+// semantics: a task attempt that fails
 // with an error classified transient is re-executed after a backoff, up to
 // Context.MaxTaskRetries times. Tasks are pure functions of their input
 // partition or morsel (the lineage contract narrow transforms already

@@ -184,23 +184,14 @@ func (f *FilterExec) NarrowChild() Operator { return f.Child }
 // per-row pass, so range outputs concatenate to the whole-partition output.
 func (f *FilterExec) MorselSplittable() bool { return true }
 
-// PartitionTransform returns the filter's per-partition closure.
-func (f *FilterExec) PartitionTransform(ctx *cluster.Context) PartitionFn {
-	cfn := f.PartitionTransformColumnar(ctx)
-	return func(i int, part []types.Row) ([]types.Row, error) {
-		rows, _, err := cfn(i, part, nil)
-		return rows, err
-	}
-}
-
-// PartitionTransformColumnar implements ColumnarOperator. With an aligned
+// PartitionTransform implements NarrowOperator. With an aligned
 // sidecar and a vectorizable predicate the filter evaluates a selection
 // bitmap over the batch's dense columns — no boxed Eval per row — and both
 // the rows and the batch are reduced by the same selection, preserving the
 // boxed row order bit for bit. Non-vectorizable predicates (or runtime
 // refusals, expr.ErrNotVectorized) fall back to the boxed row loop but
 // still carry the sidecar forward via Batch.Select.
-func (f *FilterExec) PartitionTransformColumnar(ctx *cluster.Context) ColumnarPartitionFn {
+func (f *FilterExec) PartitionTransform(ctx *cluster.Context) cluster.ColumnarFn {
 	canVec := !f.DisableVector && expr.CanVectorize(f.Cond, f.Child.Schema())
 	return func(_ int, part []types.Row, b *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
 		if b != nil && b.Len() != len(part) {
@@ -249,16 +240,7 @@ func (f *FilterExec) PartitionTransformColumnar(ctx *cluster.Context) ColumnarPa
 }
 
 func (f *FilterExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
-	in, err := f.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ctx.MapPartitionsSplittable(in, f.PartitionTransformColumnar(ctx))
-	if err != nil {
-		return nil, err
-	}
-	charge(ctx, out, in)
-	return out, nil
+	return executeNarrow(ctx, f)
 }
 
 // ProjectExec evaluates projection expressions over each row.
@@ -291,16 +273,7 @@ func (p *ProjectExec) NarrowChild() Operator { return p.Child }
 // output.
 func (p *ProjectExec) MorselSplittable() bool { return true }
 
-// PartitionTransform returns the projection's per-partition closure.
-func (p *ProjectExec) PartitionTransform(ctx *cluster.Context) PartitionFn {
-	cfn := p.PartitionTransformColumnar(ctx)
-	return func(i int, part []types.Row) ([]types.Row, error) {
-		rows, _, err := cfn(i, part, nil)
-		return rows, err
-	}
-}
-
-// PartitionTransformColumnar implements ColumnarOperator. With an aligned
+// PartitionTransform implements NarrowOperator. With an aligned
 // sidecar the projection keeps the batch alive across the row transform:
 // the output rows replace the wrapped rows (Batch.WithRows), pass-through
 // column references re-key their bindings into the output ordinal space,
@@ -309,7 +282,7 @@ func (p *ProjectExec) PartitionTransform(ctx *cluster.Context) PartitionFn {
 // kinds preserved exactly) and appended to the batch for operators further
 // up the chain. Expressions the engine refuses evaluate boxed, column by
 // column, with identical results.
-func (p *ProjectExec) PartitionTransformColumnar(ctx *cluster.Context) ColumnarPartitionFn {
+func (p *ProjectExec) PartitionTransform(ctx *cluster.Context) cluster.ColumnarFn {
 	childSchema := p.Child.Schema()
 	canVec := make([]bool, len(p.Exprs))
 	passthrough := make([]int, len(p.Exprs)) // source ordinal, or -1
@@ -409,16 +382,7 @@ func isBoolExpr(e expr.Expr) bool {
 }
 
 func (p *ProjectExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
-	in, err := p.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ctx.MapPartitionsSplittable(in, p.PartitionTransformColumnar(ctx))
-	if err != nil {
-		return nil, err
-	}
-	charge(ctx, out, in)
-	return out, nil
+	return executeNarrow(ctx, p)
 }
 
 // LimitExec keeps the first N rows (gathering to one partition).

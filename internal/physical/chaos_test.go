@@ -50,13 +50,14 @@ func TestChaosContractAllStrategies(t *testing.T) {
 		SkylineCostBased,
 	}
 	ablations := []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		fused bool
 	}{
-		{"full", Options{}},
-		{"unfused", Options{DisableStageFusion: true}},
-		{"boxed-kernel", Options{DisableColumnarKernel: true}},
-		{"boxed-exprs", Options{DisableVectorizedExprs: true}},
+		{"full", Options{}, true},
+		{"unfused", Options{}, false},
+		{"boxed-kernel", Options{DisableColumnarKernel: true}, true},
+		{"boxed-exprs", Options{DisableVectorizedExprs: true}, true},
 	}
 
 	r := rand.New(rand.NewSource(41))
@@ -84,7 +85,7 @@ func TestChaosContractAllStrategies(t *testing.T) {
 		for _, ab := range ablations {
 			opts := ab.opts
 			opts.Strategy = st
-			op, err := Plan(sky, opts)
+			op, err := planner(ab.fused)(sky, opts)
 			if err != nil {
 				t.Fatalf("%v/%s: plan: %v", st, ab.name, err)
 			}

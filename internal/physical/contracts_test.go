@@ -127,8 +127,9 @@ func rowStrings(rows []types.Row) []string {
 	return out
 }
 
-// execBoth runs the same operator tree unfused and through the stage
-// compiler, returning both row sequences and both contexts.
+// execBoth runs the same operator tree unfused (each narrow operator as
+// its own one-operator pipeline) and through the stage compiler, returning
+// both row sequences and both contexts.
 func execBoth(t *testing.T, op Operator, executors int) (unfused, fused []types.Row, uctx, fctx *cluster.Context) {
 	t.Helper()
 	uctx = cluster.NewContext(executors)
@@ -144,6 +145,17 @@ func execBoth(t *testing.T, op Operator, executors int) (unfused, fused []types.
 		t.Fatalf("fused execute: %v", err)
 	}
 	return unfused, fused, uctx, fctx
+}
+
+// planner returns Plan for the fused arm of an ablation and the raw
+// lowered tree for the unfused arm: the uncompiled tree runs one
+// single-operator pipeline per narrow operator. Only Plan pushes filter
+// predicates into scans, so prune counters hold for the fused arm only.
+func planner(fused bool) func(plan.Node, Options) (Operator, error) {
+	if fused {
+		return Plan
+	}
+	return lower
 }
 
 func assertSameRows(t *testing.T, label string, unfused, fused []types.Row) {
@@ -279,7 +291,7 @@ func TestFusedUnfusedEquivalenceAllStrategies(t *testing.T) {
 		for _, st := range strategies {
 			for _, wcap := range []int{0, 8} {
 				label := fmt.Sprintf("%s/%v/window=%d", name, st, wcap)
-				unfusedOp, err := Plan(sky, Options{Strategy: st, SkylineWindowCap: wcap, DisableStageFusion: true})
+				unfusedOp, err := lower(sky, Options{Strategy: st, SkylineWindowCap: wcap})
 				if err != nil {
 					t.Fatalf("%s: plan unfused: %v", label, err)
 				}
@@ -300,6 +312,64 @@ func TestFusedUnfusedEquivalenceAllStrategies(t *testing.T) {
 				if fctx.Metrics.StagesExecuted() > uctx.Metrics.StagesExecuted() {
 					t.Errorf("%s: fused scheduled %d rounds, unfused %d",
 						label, fctx.Metrics.StagesExecuted(), uctx.Metrics.StagesExecuted())
+				}
+			}
+		}
+	}
+}
+
+// TestPlanFusesEveryNarrowOperator pins the one-execution-path invariant:
+// for every SkylineStrategy × kernel × vectorization ablation, Plan's
+// output holds no narrow operator outside a PipelineExec's Ops — filters,
+// projections, local skylines and per-partition limits only ever run
+// fused.
+func TestPlanFusesEveryNarrowOperator(t *testing.T) {
+	strategies := []SkylineStrategy{
+		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
+		SkylineDistributedIncomplete, SkylineSFS, SkylineDivideAndConquer,
+		SkylineGridComplete, SkylineAngleComplete, SkylineZorderComplete,
+		SkylineCostBased,
+	}
+	tab := intTable(t, "fuseall", []string{"a", "b", "c"}, [][]int64{{1, 2, 3}, {3, 2, 1}, {2, 2, 2}})
+	tab.Schema.Fields[0].Nullable = true
+	filter := plan.NewFilter(
+		expr.NewBinary(expr.OpLeq, expr.NewBoundRef(2, "c", types.KindInt, false), expr.NewLiteral(types.Int(2))),
+		plan.NewScan(tab, "fuseall"))
+	proj := plan.NewProject([]expr.Expr{
+		expr.NewBoundRef(0, "a", types.KindInt, true),
+		expr.NewAlias(expr.NewBinary(expr.OpAdd,
+			expr.NewBoundRef(1, "b", types.KindInt, false), expr.NewBoundRef(2, "c", types.KindInt, false)), "s"),
+	}, filter)
+	dims := []*expr.SkylineDimension{
+		expr.NewSkylineDimension(expr.NewBoundRef(0, "a", types.KindInt, true), expr.SkyMin),
+		expr.NewSkylineDimension(expr.NewBoundRef(1, "s", types.KindInt, false), expr.SkyMax),
+	}
+	root := plan.NewLimit(2, plan.NewSkylineOperator(false, false, dims, proj))
+	for _, st := range strategies {
+		for _, noKernel := range []bool{false, true} {
+			for _, noVector := range []bool{false, true} {
+				label := fmt.Sprintf("%v/kernel=%v/vector=%v", st, !noKernel, !noVector)
+				op, err := Plan(root, Options{Strategy: st,
+					DisableColumnarKernel: noKernel, DisableVectorizedExprs: noVector})
+				if err != nil {
+					t.Fatalf("%s: plan: %v", label, err)
+				}
+				var walk func(Operator)
+				walk = func(o Operator) {
+					if p, ok := o.(*PipelineExec); ok {
+						walk(p.Source)
+						return
+					}
+					if _, ok := o.(NarrowOperator); ok {
+						t.Errorf("%s: bare narrow operator %s outside a pipeline:\n%s", label, o, FormatStages(op))
+					}
+					for _, c := range o.Children() {
+						walk(c)
+					}
+				}
+				walk(op)
+				if CountStages(op) == 0 {
+					t.Errorf("%s: plan compiled no pipeline stage", label)
 				}
 			}
 		}

@@ -66,9 +66,10 @@ func TestCostGateBitIdentityAblation(t *testing.T) {
 						for _, noVector := range []bool{false, true} {
 							label := fmt.Sprintf("%s/cut=%d/%v/fusion=%v/kernel=%v/vector=%v",
 								name, cut, st, !noFusion, !noKernel, !noVector)
-							opts := Options{Strategy: st, DisableStageFusion: noFusion,
+							opts := Options{Strategy: st,
 								DisableColumnarKernel: noKernel, DisableVectorizedExprs: noVector}
-							op, err := Plan(sky, opts)
+							planFn := planner(!noFusion)
+							op, err := planFn(sky, opts)
 							if err != nil {
 								t.Fatalf("%s: plan: %v", label, err)
 							}
@@ -80,7 +81,11 @@ func TestCostGateBitIdentityAblation(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: gated execute: %v", label, err)
 							}
-							ungated, err := Execute(Plan2(t, sky, opts), uctx)
+							ungatedOp, err := planFn(sky, opts)
+							if err != nil {
+								t.Fatalf("%s: plan: %v", label, err)
+							}
+							ungated, err := Execute(ungatedOp, uctx)
 							if err != nil {
 								t.Fatalf("%s: ungated execute: %v", label, err)
 							}

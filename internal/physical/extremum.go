@@ -60,7 +60,7 @@ func (x *ExtremumFilterExec) Execute(ctx *cluster.Context) (*cluster.Dataset, er
 // arriving with a columnar sidecar whose dense columns can serve E
 // evaluate the column on the vectorized expression engine instead of the
 // boxed row loop (bit-identical values; refusals fall back per partition).
-func (x *ExtremumFilterExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPartitionFn) (*cluster.Dataset, error) {
+func (x *ExtremumFilterExec) ExecuteFused(ctx *cluster.Context, tail cluster.ColumnarFn) (*cluster.Dataset, error) {
 	in, err := x.Child.Execute(ctx)
 	if err != nil {
 		return nil, err

@@ -66,7 +66,7 @@ func (h *HashJoinExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 // materialization, the same trick ExtremumFilterExec plays with its second
 // pass. Probe output rows are freshly combined, so no sidecar reaches the
 // tail. A nil tail reproduces the plain probe exactly.
-func (h *HashJoinExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPartitionFn) (*cluster.Dataset, error) {
+func (h *HashJoinExec) ExecuteFused(ctx *cluster.Context, tail cluster.ColumnarFn) (*cluster.Dataset, error) {
 	left, err := h.Left.Execute(ctx)
 	if err != nil {
 		return nil, err
@@ -171,7 +171,7 @@ func (n *NestedLoopJoinExec) Execute(ctx *cluster.Context) (*cluster.Dataset, er
 // output costs no extra round and no intermediate materialization. Probe
 // output rows are freshly combined, so no sidecar reaches the tail. A nil
 // tail reproduces the plain probe exactly.
-func (n *NestedLoopJoinExec) ExecuteFused(ctx *cluster.Context, tail ColumnarPartitionFn) (*cluster.Dataset, error) {
+func (n *NestedLoopJoinExec) ExecuteFused(ctx *cluster.Context, tail cluster.ColumnarFn) (*cluster.Dataset, error) {
 	left, err := n.Left.Execute(ctx)
 	if err != nil {
 		return nil, err

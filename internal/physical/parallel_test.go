@@ -27,13 +27,14 @@ func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
 		SkylineCostBased,
 	}
 	ablations := []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		fused bool
 	}{
-		{"default", Options{}},
-		{"nofusion", Options{DisableStageFusion: true}},
-		{"nokernel", Options{DisableColumnarKernel: true}},
-		{"novector", Options{DisableVectorizedExprs: true}},
+		{"default", Options{}, true},
+		{"nofusion", Options{}, false},
+		{"nokernel", Options{DisableColumnarKernel: true}, true},
+		{"novector", Options{DisableVectorizedExprs: true}, true},
 	}
 	pool := cluster.NewWorkerPool(4)
 	defer pool.Close()
@@ -69,7 +70,7 @@ func TestMorselParallelBitIdentityAllStrategies(t *testing.T) {
 					label := fmt.Sprintf("%s/%v/distinct=%v/%s", name, st, distinct, ab.name)
 					opts := ab.opts
 					opts.Strategy = st
-					op, err := Plan(sky, opts)
+					op, err := planner(ab.fused)(sky, opts)
 					if err != nil {
 						t.Fatalf("%s: plan: %v", label, err)
 					}

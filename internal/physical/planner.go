@@ -83,16 +83,10 @@ type Options struct {
 	// algorithms (0 = unbounded). Bounded windows trade extra passes for
 	// bounded memory, per the original BNL algorithm.
 	SkylineWindowCap int
-	// DisableStageFusion turns off the exchange-bounded stage compiler,
-	// executing every physical operator as its own fully-materialized task
-	// round (the pre-fusion behaviour). Used by the equivalence contract
-	// tests and for A/B benchmarking of the fused execution path.
-	DisableStageFusion bool
 	// DisableColumnarKernel turns off the columnar dominance kernel: the
 	// skyline operators then run the boxed CompareFunc path on every
 	// partition (and the extremum filter re-evaluates its expression per
-	// pass). Result-identical; kept selectable for A/B ablation, mirroring
-	// DisableStageFusion.
+	// pass). Result-identical; kept selectable for A/B ablation.
 	DisableColumnarKernel bool
 	// DisableVectorizedExprs turns off the vectorized expression engine:
 	// filters, projections, and the extremum passes then evaluate boxed,
@@ -123,18 +117,16 @@ type PlanCache interface {
 }
 
 // Plan lowers a resolved (and optionally optimized) logical plan into a
-// physical operator tree and, unless disabled, compiles it into
-// exchange-bounded fused stages (CompileStages): chains of narrow
-// operators collapse into single-task-round pipelines, cut at pipeline
-// breakers, mirroring Spark's stage/DAG execution model.
+// physical operator tree and compiles it into exchange-bounded fused
+// stages (CompileStages): chains of narrow operators collapse into
+// single-task-round pipelines, cut at pipeline breakers, mirroring Spark's
+// stage/DAG execution model.
 func Plan(n plan.Node, opts Options) (Operator, error) {
 	op, err := lower(n, opts)
 	if err != nil {
 		return nil, err
 	}
-	if !opts.DisableStageFusion {
-		op = CompileStages(op)
-	}
+	op = CompileStages(op)
 	pushPrunePredicates(op)
 	if opts.ResultCache != nil {
 		op = opts.ResultCache.Bind(op, opts)
@@ -142,18 +134,17 @@ func Plan(n plan.Node, opts Options) (Operator, error) {
 	return op, nil
 }
 
-// pushPrunePredicates collects, for every scan, the contiguous run of
-// filter predicates sitting directly above it and records them on the
-// scan for zone-map segment pruning. Only uninterrupted filter runs are
-// taken: filters do not change the schema (so every collected predicate
-// is bound to scan ordinals, which is what segment footers index), and
-// stopping at the first non-filter operator keeps pruning sound — an
-// intervening limit or projection could make "provably empty" depend on
-// more than the predicate. The filters themselves still execute; a scan
-// without segments simply ignores its Prune list.
+// pushPrunePredicates collects, for every scan feeding a fused stage, the
+// contiguous run of filter predicates at the head of the stage and records
+// them on the scan for zone-map segment pruning. Only uninterrupted filter
+// runs are taken: filters do not change the schema (so every collected
+// predicate is bound to scan ordinals, which is what segment footers
+// index), and stopping at the first non-filter operator keeps pruning
+// sound — an intervening limit or projection could make "provably empty"
+// depend on more than the predicate. The filters themselves still
+// execute; a scan without segments simply ignores its Prune list.
 func pushPrunePredicates(op Operator) {
-	switch n := op.(type) {
-	case *PipelineExec:
+	if n, ok := op.(*PipelineExec); ok {
 		if scan, ok := n.Source.(*ScanExec); ok {
 			for _, o := range n.Ops {
 				f, ok := o.(*FilterExec)
@@ -162,21 +153,6 @@ func pushPrunePredicates(op Operator) {
 				}
 				scan.Prune = append(scan.Prune, f.Cond)
 			}
-		}
-	case *FilterExec:
-		conds := []expr.Expr{n.Cond}
-		child := n.Child
-		for {
-			if f, ok := child.(*FilterExec); ok {
-				conds = append(conds, f.Cond)
-				child = f.Child
-				continue
-			}
-			break
-		}
-		if scan, ok := child.(*ScanExec); ok {
-			scan.Prune = append(scan.Prune, conds...)
-			return // the chain is consumed; don't re-collect suffixes
 		}
 	}
 	for _, c := range op.Children() {

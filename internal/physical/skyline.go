@@ -133,18 +133,7 @@ func (l *LocalSkylineExec) MorselSplittable() bool {
 	return !l.Incomplete && l.WindowCap == 0
 }
 
-// PartitionTransform returns the per-partition BNL closure without sidecar
-// flow (NarrowOperator interface); the stage compiler and Execute use the
-// columnar variant below.
-func (l *LocalSkylineExec) PartitionTransform(ctx *cluster.Context) PartitionFn {
-	cfn := l.PartitionTransformColumnar(ctx)
-	return func(i int, part []types.Row) ([]types.Row, error) {
-		rows, _, err := cfn(i, part, nil)
-		return rows, err
-	}
-}
-
-// PartitionTransformColumnar implements ColumnarOperator. A partition
+// PartitionTransform implements NarrowOperator. A partition
 // arriving with a matching batch sidecar (e.g. from a Grid/Angle/Zorder
 // exchange that bucketed on decoded columns) is processed without
 // re-evaluating or re-decoding anything; otherwise the partition is
@@ -153,7 +142,7 @@ func (l *LocalSkylineExec) PartitionTransform(ctx *cluster.Context) PartitionFn 
 // skyline after it stay decode-free. Partitions the kernel cannot
 // represent exactly fall back to the boxed CompareFunc path transparently
 // (no sidecar emitted).
-func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) ColumnarPartitionFn {
+func (l *LocalSkylineExec) PartitionTransform(ctx *cluster.Context) cluster.ColumnarFn {
 	cmp := skyline.Compare
 	if l.Incomplete {
 		cmp = skyline.CompareIncomplete
@@ -218,20 +207,7 @@ func (l *LocalSkylineExec) PartitionTransformColumnar(ctx *cluster.Context) Colu
 }
 
 func (l *LocalSkylineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
-	in, err := l.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	mapFn := ctx.MapPartitionsColumnar
-	if l.MorselSplittable() {
-		mapFn = ctx.MapPartitionsSplittable
-	}
-	out, err := mapFn(in, l.PartitionTransformColumnar(ctx))
-	if err != nil {
-		return nil, err
-	}
-	charge(ctx, out, in)
-	return out, nil
+	return executeNarrow(ctx, l)
 }
 
 // GlobalSkylineExec computes the final skyline on a single executor. The

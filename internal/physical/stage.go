@@ -18,40 +18,24 @@ import (
 // sorts, aggregates, joins, limits) cut the plan into stages exactly where
 // a Spark shuffle would.
 
-// PartitionFn is the per-partition row transform of a narrow operator:
-// given the partition index and its rows it produces the operator's output
-// rows for that partition.
-type PartitionFn func(i int, part []types.Row) ([]types.Row, error)
-
-// ColumnarPartitionFn is the batch-aware per-partition transform: it
-// additionally receives the partition's columnar sidecar (nil when none)
-// and may emit a sidecar index-aligned with its output rows. The stage
-// compiler threads these sidecars through fused pipelines and across
-// exchanges, which is how a batch decoded by a local skyline reaches the
-// global skyline without a second decode.
-type ColumnarPartitionFn func(i int, part []types.Row, b *skyline.Batch) ([]types.Row, *skyline.Batch, error)
-
 // NarrowOperator is implemented by physical operators whose work is a pure
 // per-partition pass (Spark's narrow transformations). The stage compiler
-// fuses chains of them into one PipelineExec.
+// fuses chains of them into one PipelineExec; a narrow operator executed
+// on its own runs as a one-operator pipeline (executeNarrow), so every
+// narrow pass goes through the same per-partition closure.
 type NarrowOperator interface {
 	Operator
 	// NarrowChild returns the input the per-partition pass reads from.
 	NarrowChild() Operator
-	// PartitionTransform returns the operator's per-partition closure. It
-	// is invoked once per stage execution, so implementations may capture
+	// PartitionTransform returns the operator's per-partition closure. The
+	// closure receives the partition's columnar sidecar (nil when none)
+	// and may emit a sidecar index-aligned with its output rows (nil to
+	// drop it); fused pipelines thread these sidecars through the chain
+	// and across exchanges, which is how a batch decoded by a local
+	// skyline reaches the global skyline without a second decode. It is
+	// invoked once per stage execution, so implementations may capture
 	// context-derived state (e.g. metric sinks) in the returned closure.
-	PartitionTransform(ctx *cluster.Context) PartitionFn
-}
-
-// ColumnarOperator is a NarrowOperator that participates in the columnar
-// data plane: its per-partition pass can consume an incoming batch sidecar
-// (skipping its own decode) and/or produce one for the operators and
-// exchanges above it.
-type ColumnarOperator interface {
-	NarrowOperator
-	// PartitionTransformColumnar is PartitionTransform with sidecar flow.
-	PartitionTransformColumnar(ctx *cluster.Context) ColumnarPartitionFn
+	PartitionTransform(ctx *cluster.Context) cluster.ColumnarFn
 }
 
 // MorselSplittable is the opt-in interface of narrow operators whose
@@ -90,7 +74,7 @@ type StageSource interface {
 	// partition inside the operator's last MapPartitions round (sidecars
 	// the tail emits are preserved on the output dataset). A nil tail must
 	// behave exactly like Execute.
-	ExecuteFused(ctx *cluster.Context, tail ColumnarPartitionFn) (*cluster.Dataset, error)
+	ExecuteFused(ctx *cluster.Context, tail cluster.ColumnarFn) (*cluster.Dataset, error)
 }
 
 // PipelineExec is one fused stage: a maximal chain of narrow operators
@@ -134,9 +118,7 @@ func (p *PipelineExec) String() string {
 }
 
 // tailFn composes the fused chain into one batch-aware per-partition
-// closure. Columnar operators pass the sidecar along; plain narrow
-// operators transform rows only, which invalidates index alignment, so the
-// sidecar is dropped at that link.
+// closure, handing each operator's output rows and sidecar to the next.
 //
 // When the chain contains a local skyline reachable through filters/
 // projections/limits and the context allows it (Context.DecodeAtScan), the
@@ -145,18 +127,10 @@ func (p *PipelineExec) String() string {
 // filters — so the intervening operators run on the vectorized expression
 // engine and the skyline reuses the batch by tag: the whole narrow chain is
 // decode-once even with leading filters and computed dimensions.
-func (p *PipelineExec) tailFn(ctx *cluster.Context) ColumnarPartitionFn {
-	fns := make([]ColumnarPartitionFn, len(p.Ops))
+func (p *PipelineExec) tailFn(ctx *cluster.Context) cluster.ColumnarFn {
+	fns := make([]cluster.ColumnarFn, len(p.Ops))
 	for i, op := range p.Ops {
-		if c, ok := op.(ColumnarOperator); ok {
-			fns[i] = c.PartitionTransformColumnar(ctx)
-			continue
-		}
-		plain := op.PartitionTransform(ctx)
-		fns[i] = func(i int, part []types.Row, _ *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
-			rows, err := plain(i, part)
-			return rows, nil, err
-		}
+		fns[i] = op.PartitionTransform(ctx)
 	}
 	var spec *stageDecode
 	if ctx.DecodeAtScan {
@@ -198,6 +172,12 @@ func (p *PipelineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 		// does the stage-scoped charging itself.
 		return src.ExecuteFused(ctx, tail)
 	}
+	return p.run(ctx, tail)
+}
+
+// run materializes the source and executes the composed chain tail over
+// it as one task round, charging only the stage input and output.
+func (p *PipelineExec) run(ctx *cluster.Context, tail cluster.ColumnarFn) (*cluster.Dataset, error) {
 	in, err := p.Source.Execute(ctx)
 	if err != nil {
 		return nil, err
@@ -217,6 +197,16 @@ func (p *PipelineExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 	return out, nil
 }
 
+// executeNarrow runs one narrow operator of an uncompiled tree as a
+// one-operator pipeline over its materialized child: the operator gets its
+// own task round (a breaker below never absorbs it), through the same
+// per-partition closure, morsel splitting and stage-scoped charging as the
+// fused stages Plan produces.
+func executeNarrow(ctx *cluster.Context, op NarrowOperator) (*cluster.Dataset, error) {
+	p := &PipelineExec{Ops: []NarrowOperator{op}, Source: op.NarrowChild()}
+	return p.run(ctx, p.tailFn(ctx))
+}
+
 // LocalLimitExec truncates every partition to its first N rows — the
 // narrow half of Spark's LocalLimit/GlobalLimit split. The stage compiler
 // inserts it below a LimitExec so that the final gather moves at most N
@@ -233,18 +223,9 @@ func (l *LocalLimitExec) String() string        { return fmt.Sprintf("LocalLimit
 
 func (l *LocalLimitExec) NarrowChild() Operator { return l.Child }
 
-func (l *LocalLimitExec) PartitionTransform(*cluster.Context) PartitionFn {
-	return func(_ int, part []types.Row) ([]types.Row, error) {
-		if int64(len(part)) > l.N {
-			part = part[:l.N]
-		}
-		return part, nil
-	}
-}
-
-// PartitionTransformColumnar implements ColumnarOperator: truncation is a
-// prefix, so the sidecar survives as a Batch.Slice of the same prefix.
-func (l *LocalLimitExec) PartitionTransformColumnar(*cluster.Context) ColumnarPartitionFn {
+// PartitionTransform implements NarrowOperator: truncation is a prefix,
+// so the sidecar survives as a Batch.Slice of the same prefix.
+func (l *LocalLimitExec) PartitionTransform(*cluster.Context) cluster.ColumnarFn {
 	return func(_ int, part []types.Row, b *skyline.Batch) ([]types.Row, *skyline.Batch, error) {
 		if b != nil && b.Len() != len(part) {
 			b = nil // misaligned sidecar: rows stay authoritative
@@ -260,16 +241,7 @@ func (l *LocalLimitExec) PartitionTransformColumnar(*cluster.Context) ColumnarPa
 }
 
 func (l *LocalLimitExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
-	in, err := l.Child.Execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ctx.MapPartitions(in, l.PartitionTransform(ctx))
-	if err != nil {
-		return nil, err
-	}
-	charge(ctx, out, in)
-	return out, nil
+	return executeNarrow(ctx, l)
 }
 
 // CompileStages rewrites a physical operator tree into its stage-fused
@@ -373,7 +345,7 @@ func opName(op Operator) string {
 }
 
 // CountStages returns the number of fused pipeline stages in a compiled
-// plan (0 for an unfused tree).
+// plan (0 for an uncompiled tree).
 func CountStages(root Operator) int {
 	n := 0
 	var rec func(Operator)
@@ -389,7 +361,7 @@ func CountStages(root Operator) int {
 	return n
 }
 
-// FormatStages renders the exchange-bounded stage structure of a physical
+// FormatStages renders the exchange-bounded stage structure of a compiled
 // plan the way EXPLAIN presents it: every line is tagged with the stage
 // that executes the operator, fused operators are marked with '*', and
 // stage boundaries are called out at every pipeline breaker.
@@ -424,15 +396,12 @@ func FormatStages(root Operator) string {
 			rec(o.Child, depth+1, newStage())
 		default:
 			fmt.Fprintf(&sb, "%s[stage %d] %s\n", ind, stage, op.String())
-			_, narrow := op.(NarrowOperator)
 			for _, ch := range op.Children() {
+				// Breakers cut a stage; an exchange child allocates its own
+				// producing stage when it recurses.
 				s := stage
-				if !narrow {
-					// Breakers cut a stage; an exchange child allocates its
-					// own producing stage when it recurses.
-					if _, isExchange := ch.(*ExchangeExec); !isExchange {
-						s = newStage()
-					}
+				if _, isExchange := ch.(*ExchangeExec); !isExchange {
+					s = newStage()
 				}
 				rec(ch, depth+1, s)
 			}

@@ -62,13 +62,14 @@ func TestSegmentScanContractAllStrategies(t *testing.T) {
 		SkylineCostBased,
 	}
 	ablations := []struct {
-		name string
-		opts Options
+		name  string
+		opts  Options
+		fused bool
 	}{
-		{"full", Options{}},
-		{"unfused", Options{DisableStageFusion: true}},
-		{"boxed-kernel", Options{DisableColumnarKernel: true}},
-		{"boxed-exprs", Options{DisableVectorizedExprs: true}},
+		{"full", Options{}, true},
+		{"unfused", Options{}, false},
+		{"boxed-kernel", Options{DisableColumnarKernel: true}, true},
+		{"boxed-exprs", Options{DisableVectorizedExprs: true}, true},
 	}
 	for _, st := range strategies {
 		for _, ab := range ablations {
@@ -77,7 +78,7 @@ func TestSegmentScanContractAllStrategies(t *testing.T) {
 			opts := ab.opts
 			opts.Strategy = st
 
-			memOp, err := Plan(memPlan, opts)
+			memOp, err := planner(ab.fused)(memPlan, opts)
 			if err != nil {
 				t.Fatalf("%s: plan memory: %v", label, err)
 			}
@@ -87,7 +88,7 @@ func TestSegmentScanContractAllStrategies(t *testing.T) {
 				t.Fatalf("%s: execute memory: %v", label, err)
 			}
 
-			segOp, err := Plan(segPlan, opts)
+			segOp, err := planner(ab.fused)(segPlan, opts)
 			if err != nil {
 				t.Fatalf("%s: plan segments: %v", label, err)
 			}
@@ -101,7 +102,7 @@ func TestSegmentScanContractAllStrategies(t *testing.T) {
 			if len(memRows) == 0 {
 				t.Fatalf("%s: empty skyline proves nothing", label)
 			}
-			if got := sctx.Metrics.SegmentsPruned(); got == 0 {
+			if got := sctx.Metrics.SegmentsPruned(); ab.fused && got == 0 {
 				t.Errorf("%s: segment scan pruned nothing — a < 60 over 8 clustered segments must skip the tail", label)
 			}
 			if got := mctx.Metrics.SegmentsPruned(); got != 0 {

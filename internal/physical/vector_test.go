@@ -102,8 +102,8 @@ func TestFilteredSkylineDecodesOncePerPartitionVectorized(t *testing.T) {
 // TestVectorizedContractsAllStrategies is the vectorization contract: a
 // filtered + computed-dimension skyline plan must produce identical row
 // sequences across every SkylineStrategy and every combination of the
-// DisableStageFusion / DisableColumnarKernel / DisableVectorizedExprs
-// ablations.
+// fusion (Plan vs the raw lowered tree) / DisableColumnarKernel /
+// DisableVectorizedExprs ablations.
 func TestVectorizedContractsAllStrategies(t *testing.T) {
 	strategies := []SkylineStrategy{
 		SkylineAuto, SkylineDistributedComplete, SkylineNonDistributedComplete,
@@ -147,9 +147,8 @@ func TestVectorizedContractsAllStrategies(t *testing.T) {
 			for _, noKernel := range []bool{false, true} {
 				for _, noVector := range []bool{false, true} {
 					label := fmt.Sprintf("%v/fusion=%v/kernel=%v/vector=%v", st, !noFusion, !noKernel, !noVector)
-					op, err := Plan(sky, Options{
+					op, err := planner(!noFusion)(sky, Options{
 						Strategy:               st,
-						DisableStageFusion:     noFusion,
 						DisableColumnarKernel:  noKernel,
 						DisableVectorizedExprs: noVector,
 					})

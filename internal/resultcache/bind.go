@@ -23,7 +23,7 @@ import (
 // under. Nothing from it joins the fingerprint directly: the
 // strategy-relevant options (strategy, window cap, presort) are already
 // encoded in the operator shapes the canonicalizer reads, and the
-// bit-identical ablations (fusion, kernel, vectorization) are excluded
+// bit-identical ablations (kernel, vectorization) are excluded
 // by design so ablated sessions share entries.
 func (c *Cache) Bind(root physical.Operator, opts physical.Options) physical.Operator {
 	if c == nil {
@@ -143,31 +143,11 @@ func (c *canonicalizer) op(op physical.Operator) bool {
 		c.deps = append(c.deps, n.Table)
 	case *physical.OneRowExec:
 		c.sb.WriteString("|onerow")
-	case *physical.FilterExec:
-		conds := []expr.Expr{n.Cond}
-		child := physical.Operator(n.Child)
-		for {
-			f, ok := child.(*physical.FilterExec)
-			if !ok {
-				break
-			}
-			conds = append(conds, f.Cond)
-			child = f.Child
-		}
-		if !c.op(child) {
-			return false
-		}
-		c.filterRun(conds)
 	case *physical.ExchangeExec:
 		if !c.op(n.Child) {
 			return false
 		}
 		fmt.Fprintf(&c.sb, "|%s", n.String())
-	case *physical.LocalSkylineExec:
-		if !c.op(n.Child) {
-			return false
-		}
-		c.localSky(n)
 	case *physical.GlobalSkylineExec:
 		if !c.op(n.Child) {
 			return false
@@ -175,8 +155,8 @@ func (c *canonicalizer) op(op physical.Operator) bool {
 		c.sawSkyline = true
 		fmt.Fprintf(&c.sb, "|global-sky(%s,distinct=%v,cap=%d,zp=%v)[%s]",
 			n.Algorithm, n.Distinct, n.WindowCap, n.ZorderPresort, c.dims(n.Dims))
-	case *physical.ExtremumFilterExec, *physical.ProjectExec, *physical.SortExec,
-		*physical.DistinctExec, *physical.LimitExec, *physical.LocalLimitExec:
+	case *physical.ExtremumFilterExec, *physical.SortExec, *physical.DistinctExec,
+		*physical.LimitExec:
 		ch := op.Children()
 		if len(ch) != 1 || !c.op(ch[0]) {
 			return false
@@ -189,7 +169,7 @@ func (c *canonicalizer) op(op physical.Operator) bool {
 }
 
 // narrowOps renders a fused pipeline's operator chain (already in
-// execution order) with the same normalizations the tree walk applies,
+// execution order), each contiguous filter run as one conjunct set,
 // without recursing into the ops' structural children (those are the
 // preceding chain elements).
 func (c *canonicalizer) narrowOps(ops []physical.NarrowOperator) bool {
@@ -269,14 +249,14 @@ func (c *canonicalizer) dims(dims []physical.BoundDim) string {
 //
 //	GlobalSkylineExec(bnl, unbounded)
 //	  └ ExchangeExec AllTuples
-//	      └ [LocalSkylineExec(complete, unbounded, same clause)]
-//	          └ FilterExec* (possibly fused into a pipeline)
-//	              └ ScanExec (in-memory table)
+//	      └ PipelineExec [FilterExec* -> LocalSkylineExec(complete,
+//	      │               unbounded, same clause)], both optional
+//	          └ ScanExec (in-memory table)
 //
 // Complete BNL with an unbounded window emits the input-order subsequence
 // of the skyline; chunk partitioning plus the order-preserving AllTuples
 // gather make that the table-order subsequence, invariant to executor
-// count, fusion, and dimension permutation — which is what lets appends
+// count and dimension permutation — which is what lets appends
 // be absorbed by stream.Incremental seeded from the cached rows. Any
 // other shape returns nil (cacheable, but append ⇒ invalidate).
 func maintainShape(root physical.Operator) *maintenance {
@@ -288,29 +268,15 @@ func maintainShape(root physical.Operator) *maintenance {
 	if !ok || ex.Dist != cluster.AllTuples || len(ex.Keys) != 0 {
 		return nil
 	}
-	// Flatten the subtree under the exchange into top-down order,
-	// expanding fused pipelines (whose Ops are bottom-up execution order).
+	// Flatten the fused stage under the exchange (if any) into top-down
+	// order; its Ops are bottom-up execution order.
 	var chain []physical.Operator
 	cur := ex.Child
-flatten:
-	for {
-		switch n := cur.(type) {
-		case *physical.FilterExec:
-			chain = append(chain, n)
-			cur = n.Child
-		case *physical.LocalSkylineExec:
-			chain = append(chain, n)
-			cur = n.Child
-		case *physical.PipelineExec:
-			for i := len(n.Ops) - 1; i >= 0; i-- {
-				chain = append(chain, n.Ops[i])
-			}
-			cur = n.Source
-		case *physical.ScanExec:
-			break flatten
-		default:
-			return nil
+	if pipe, ok := cur.(*physical.PipelineExec); ok {
+		for i := len(pipe.Ops) - 1; i >= 0; i-- {
+			chain = append(chain, pipe.Ops[i])
 		}
+		cur = pipe.Source
 	}
 	scan, ok := cur.(*physical.ScanExec)
 	if !ok || scan.Table.Segments != nil {

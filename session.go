@@ -25,13 +25,11 @@ type Session struct {
 	strategy     SkylineStrategy
 	simulate     bool
 	windowCap    int
-	noFusion     bool
 	noKernel     bool
 	noVector     bool
 	zorderSFS    bool
 	adaptiveRows int
 	noAdaptive   bool
-	noMorsel     bool
 	poolSize     int
 	injector     *chaos.Injector
 	taskRetries  int
@@ -103,21 +101,11 @@ func WithSkylineWindow(n int) Option {
 	}
 }
 
-// WithoutStageFusion disables the exchange-bounded stage compiler: every
-// physical operator then executes as its own fully-materialized task
-// round instead of fusing narrow chains into single-pass pipelines. The
-// default (fused) execution is result-identical; this switch exists for
-// A/B comparison and debugging.
-func WithoutStageFusion() Option {
-	return func(s *Session) { s.noFusion = true }
-}
-
 // WithoutColumnarKernel disables the columnar dominance kernel: skyline
 // operators then run every dominance test through the boxed compare path
 // instead of decode-once float64 column batches, and exchanges stop
 // carrying the decoded batches as sidecars. The default (kernel) execution
-// is result-identical; this switch exists for A/B ablation and debugging,
-// mirroring WithoutStageFusion.
+// is result-identical; this switch exists for A/B ablation and debugging.
 func WithoutColumnarKernel() Option {
 	return func(s *Session) { s.noKernel = true }
 }
@@ -181,15 +169,6 @@ func WithWorkerPool(n int) Option {
 			s.poolSize = n
 		}
 	}
-}
-
-// WithoutMorselParallelism disables morsel-granular task splitting: stages
-// then schedule whole partitions as tasks and the global skyline runs its
-// serial kernel, the pre-morsel behaviour. Results are bit-identical
-// either way (the parallel twins preserve emission order); the switch
-// exists for A/B ablation and debugging, mirroring WithoutStageFusion.
-func WithoutMorselParallelism() Option {
-	return func(s *Session) { s.noMorsel = true }
 }
 
 // WithFaultInjection enables deterministic chaos testing: every task
@@ -295,7 +274,7 @@ func WithSpillDirectory(dir string) Option {
 // scans: every segment decodes, filters do all the work. Results are
 // bit-identical either way (pruning only skips segments the predicates
 // provably reject); the switch exists for A/B ablation of the pruning
-// win, mirroring WithoutStageFusion.
+// win.
 func WithoutSegmentPruning() Option {
 	return func(s *Session) { s.noSegPrune = true }
 }
@@ -312,16 +291,9 @@ func WithoutSegmentPruning() Option {
 // cache can maintain incrementally, which upgrade entries in place via
 // stream.Incremental (see Session.AppendRows). Hit/miss/eviction/upgrade
 // counts surface in Explain, the skysql shell's \s, and skybench.
-// The cache is off by default: WithoutResultCache spells that out.
+// The cache is off by default.
 func WithResultCache(bytes int64) Option {
 	return func(s *Session) { s.cache = resultcache.New(bytes) }
-}
-
-// WithoutResultCache disables the skyline result cache — the default;
-// the option exists so callers can spell the ablation out explicitly,
-// mirroring WithoutStageFusion.
-func WithoutResultCache() Option {
-	return func(s *Session) { s.cache = nil }
 }
 
 // NewSession creates a session with an empty catalog.
@@ -385,10 +357,21 @@ func (s *Session) Close() {
 	}
 }
 
-// SetExecutors changes the parallelism budget for subsequent queries.
+// SetExecutors changes the parallelism budget for subsequent queries. A
+// pool sized from the old budget (not pinned by WithWorkerPool) is
+// released when its size no longer matches, so the next query recreates
+// it at min(runtime.NumCPU(), n) workers. Like Close, call it between
+// queries, not while one is running.
 func (s *Session) SetExecutors(n int) {
-	if n > 0 {
-		s.executors = n
+	if n <= 0 {
+		return
+	}
+	s.poolMu.Lock()
+	defer s.poolMu.Unlock()
+	s.executors = n
+	if s.pool != nil && s.poolSize <= 0 && s.pool.Size() != s.poolSizeLocked() {
+		s.pool.Close()
+		s.pool = nil
 	}
 }
 
@@ -519,7 +502,6 @@ func (s *Session) options() physical.Options {
 	opts := physical.Options{
 		Strategy:               s.strategy,
 		SkylineWindowCap:       s.windowCap,
-		DisableStageFusion:     s.noFusion,
 		DisableColumnarKernel:  s.noKernel,
 		DisableVectorizedExprs: s.noVector,
 		SFSZorderPresort:       s.zorderSFS,
@@ -603,22 +585,19 @@ func (s *Session) runCtx(goCtx context.Context, c *core.Compiled) (*core.Result,
 		ctx.TargetRowsPerPartition = 0
 	}
 	ctx.DecodeAtScan = !s.noVector && !s.noKernel
-	ctx.MorselParallel = !s.noMorsel
 	ctx.Injector = s.injector
 	ctx.MaxTaskRetries = s.taskRetries
 	ctx.MemoryBudget = s.memoryBudget
 	ctx.SpillDir = s.spillDir
 	ctx.DisableSegmentPrune = s.noSegPrune
-	if !s.simulate && !s.noMorsel {
-		// Simulated runs time tasks serially and model the parallelism with
-		// the makespan greedy assignment; only real runs use the pool. A
-		// single-worker pool cannot overlap morsels, so splitting would be
-		// pure scheduling overhead — keep whole-partition tasks there.
-		if pool := s.workerPool(); pool.Size() > 1 {
-			ctx.Pool = pool
-		} else {
-			ctx.MorselParallel = false
-		}
+	// Simulated runs time tasks serially and model the parallelism with
+	// the makespan greedy assignment; only real runs use the pool. A
+	// single-worker pool cannot overlap morsels, so splitting would be
+	// pure scheduling overhead — keep whole-partition tasks there.
+	ctx.MorselParallel = true
+	if !s.simulate {
+		ctx.Pool = s.workerPool()
+		ctx.MorselParallel = ctx.Pool.Size() > 1
 	}
 	if s.queryTimeout > 0 {
 		var cancel context.CancelFunc

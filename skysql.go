@@ -31,8 +31,8 @@
 // aggregates, joins — cut the stages exactly where a Spark shuffle would,
 // so a filter → project → local-skyline chain materializes no
 // intermediate datasets and costs one scheduling round instead of three.
-// EXPLAIN renders the stage boundaries; WithoutStageFusion restores the
-// per-operator path for A/B comparison.
+// Fusion is not optional: it is the only execution path, and EXPLAIN
+// renders the stage boundaries.
 //
 // Skyline dominance testing — the O(n²) innermost loop of every skyline
 // operator — runs on a columnar kernel: each partition is decoded once
@@ -101,8 +101,8 @@
 //
 // The fallback rules mirror the vectorization contract: every gated
 // choice selects between execution strategies that are bit-identical by
-// construction (contract-tested across every SkylineStrategy × fusion ×
-// kernel × vectorization ablation), so a wrong estimate costs time, never
+// construction (contract-tested across every SkylineStrategy × kernel ×
+// vectorization ablation), so a wrong estimate costs time, never
 // correctness — and when the model cannot see (no scan below the stage,
 // no filters, no sketchable columns) the engine simply keeps the
 // pre-gate behaviour. Every decision is recorded in
@@ -134,12 +134,13 @@
 // Both paths are bit-identical to serial execution by construction and
 // contract-tested under the race detector across every ablation.
 //
-// The A/B knobs mirror the other levers: WithoutMorselParallelism
-// restores whole-partition tasks and the serial global kernel,
-// WithWorkerPool sizes the pool, and WithSimulatedTime models the
-// parallelism instead of using the pool (morsel durations feed the same
-// greedy makespan model as whole-partition tasks, so simulated speedups
-// stay honest). Metrics report morsels executed, steals, per-worker busy
+// The pool is the only real runtime: every non-simulated query runs on
+// it, and morsels are on whenever the pool has more than one worker (a
+// one-worker pool cannot overlap them). WithWorkerPool sizes the pool,
+// WithExecutors(1) yields whole-partition tasks and the serial global
+// kernel, and WithSimulatedTime models the parallelism instead of using
+// the pool (morsel durations feed the same greedy makespan model as
+// whole-partition tasks, so simulated speedups stay honest). Metrics report morsels executed, steals, per-worker busy
 // time, and achieved parallelism in EXPLAIN, the shell's \s, and
 // skybench -json; `skybench -experiment parallel` sweeps worker counts
 // over correlated, anti-correlated, and skewed workloads
@@ -155,10 +156,10 @@
 //     transient (cluster.Transient / IsTransient — infrastructure-style
 //     failures, including injected chaos faults) are re-executed with
 //     exponential backoff and deterministic jitter, up to the
-//     WithTaskRetries budget (default 3), on every execution path —
-//     simulated, goroutine rounds, and the work-stealing pool. Retried
-//     runs are bit-identical to fault-free runs (contract-tested at fault
-//     rates up to 0.3 across every strategy × fusion × kernel ×
+//     WithTaskRetries budget (default 3), on both execution paths —
+//     simulated and the work-stealing pool. Retried runs are
+//     bit-identical to fault-free runs (contract-tested at fault rates up
+//     to 0.3 across every strategy × fused/unfused × kernel ×
 //     vectorization ablation, under the race detector).
 //
 //   - What degrades: under a WithMemoryBudget cap, live materialized
@@ -220,8 +221,8 @@
 //
 // # Skyline result cache
 //
-// Sessions built WithResultCache(bytes) (0 = 64 MiB default;
-// WithoutResultCache disables; the shell's -cache flag mirrors both)
+// Sessions built WithResultCache(bytes) (0 = 64 MiB default; the cache
+// is off without it; the shell's -cache flag mirrors both)
 // memoize skyline results: the planner wraps every skyline-bearing plan
 // in a cache node keyed on a normalized fingerprint — canonical operator
 // shapes, the SKYLINE OF clause with dimension order normalized exactly

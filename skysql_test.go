@@ -277,6 +277,86 @@ func TestSetExecutors(t *testing.T) {
 	}
 }
 
+// bigTableSession registers a 4096-row two-column table "big": at one
+// executor that is a single partition large enough to split into morsels
+// whenever morsel mode is on.
+func bigTableSession(t *testing.T, opts ...skysql.Option) *skysql.Session {
+	t.Helper()
+	sess := skysql.NewSession(opts...)
+	t.Cleanup(sess.Close)
+	schema := skysql.NewSchema(
+		skysql.Field{Name: "a", Type: skysql.KindInt},
+		skysql.Field{Name: "b", Type: skysql.KindInt},
+	)
+	rows := make([]skysql.Row, 4096)
+	for i := range rows {
+		rows[i] = skysql.Row{skysql.Int(int64(i % 97)), skysql.Int(int64(i % 89))}
+	}
+	if err := sess.CreateTable("big", schema, rows); err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+func collectMetrics(t *testing.T, sess *skysql.Session, query string) *skysql.Metrics {
+	t.Helper()
+	df, err := sess.SQL(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := df.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	return df.Metrics()
+}
+
+// TestSetExecutorsResizesPool pins that lowering the parallelism budget
+// releases a pool sized for the old budget: after SetExecutors(1) the
+// pool has one worker and the next query splits no morsels.
+func TestSetExecutorsResizesPool(t *testing.T) {
+	const query = "SELECT * FROM big SKYLINE OF a MIN, b MAX"
+	sess := bigTableSession(t, skysql.WithExecutors(4))
+	collectMetrics(t, sess, query) // creates the pool at min(NumCPU, 4)
+	sess.SetExecutors(1)
+	if got := sess.PoolSize(); got != 1 {
+		t.Fatalf("PoolSize after SetExecutors(1) = %d, want 1", got)
+	}
+	if got := collectMetrics(t, sess, query).MorselsExecuted(); got != 0 {
+		t.Errorf("query after SetExecutors(1) executed %d morsels, want 0", got)
+	}
+	if got := sess.PoolSize(); got != 1 {
+		t.Errorf("PoolSize after the next query = %d, want 1", got)
+	}
+}
+
+// TestSetExecutorsKeepsPinnedPool pins that a WithWorkerPool size is the
+// user's choice and survives budget changes.
+func TestSetExecutorsKeepsPinnedPool(t *testing.T) {
+	sess := bigTableSession(t, skysql.WithExecutors(4), skysql.WithWorkerPool(3))
+	collectMetrics(t, sess, "SELECT * FROM big SKYLINE OF a MIN, b MAX")
+	sess.SetExecutors(1)
+	if got := sess.PoolSize(); got != 3 {
+		t.Errorf("pinned PoolSize after SetExecutors(1) = %d, want 3", got)
+	}
+}
+
+// TestSingleWorkerSessionRunsOnPool pins that every real query runs on
+// the session pool, a one-worker pool included: the run records
+// per-worker busy time and achieved parallelism.
+func TestSingleWorkerSessionRunsOnPool(t *testing.T) {
+	sess := bigTableSession(t, skysql.WithWorkerPool(1))
+	m := collectMetrics(t, sess, "SELECT * FROM big SKYLINE OF a MIN, b MAX")
+	if busy := m.WorkerBusy(); len(busy) != 1 {
+		t.Errorf("worker busy = %v, want one entry for the single worker", busy)
+	}
+	if p := m.AchievedParallelism(); p <= 0 {
+		t.Errorf("achieved parallelism = %v, want > 0", p)
+	}
+	if got := m.MorselsExecuted(); got != 0 {
+		t.Errorf("one-worker pool executed %d morsels, want 0", got)
+	}
+}
+
 func TestSimulatedTimeOption(t *testing.T) {
 	sess := skysql.NewSession(skysql.WithExecutors(8), skysql.WithSimulatedTime())
 	schema := skysql.NewSchema(
