@@ -280,7 +280,7 @@ func TestResultCacheExplainSurfacesCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, needle := range []string{"result cache:", "1 misses", "result-cache"} {
+	for _, needle := range []string{"cache misses: 1", "result-cache"} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("Explain missing %q:\n%s", needle, out)
 		}

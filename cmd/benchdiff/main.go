@@ -1,9 +1,9 @@
 // Command benchdiff turns the BENCH_*.json trajectory from a passive
 // artifact into a regression gate: it compares a freshly generated
 // skybench JSON report against a committed baseline on the deterministic
-// counters — stages_executed, batches_decoded, vectorized_batches,
-// rows_shuffled, peak_bytes — and exits non-zero when any record
-// regressed. Wall-time fields are machine-dependent and stay
+// counters — the gated rows of the engine's counter table plus the serve
+// experiment's request and rejection counts — and exits non-zero when any
+// record regressed. Wall-time fields are machine-dependent and stay
 // informational (the total delta is printed, never gated on).
 //
 // Records are matched by their identifying fields (experiment, dataset,
@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"skysql/internal/bench"
+	"skysql/internal/cluster"
 )
 
 // counter describes one gated metric: how to read it and which direction
@@ -39,43 +40,24 @@ type counter struct {
 	higherWorse bool
 }
 
-var counters = []counter{
-	{"stages_executed", func(r bench.Record) int64 { return r.StagesExecuted }, true},
-	{"batches_decoded", func(r bench.Record) int64 { return r.BatchesDecoded }, true},
-	{"vectorized_batches", func(r bench.Record) int64 { return r.VectorizedBatches }, false},
-	{"rows_shuffled", func(r bench.Record) int64 { return r.RowsShuffled }, true},
-	{"peak_bytes", func(r bench.Record) int64 { return r.PeakBytes }, true},
-	// morsels_executed is deterministic (it depends only on the partition
-	// layout and the executor count); steals and achieved_parallelism are
-	// timing-dependent and stay informational.
-	{"morsels_executed", func(r bench.Record) int64 { return r.MorselsExecuted }, true},
-	// The fault-tolerance counters are pure functions of (seed, plan) in
-	// simulated mode: a drift means the task decomposition or the retry
-	// semantics changed. tasks_failed is implicitly gated at zero — an
-	// errored record already fails the gate.
-	{"task_retries", func(r bench.Record) int64 { return r.TaskRetries }, true},
-	{"injected_faults", func(r bench.Record) int64 { return r.InjectedFaults }, true},
-	{"degradation_steps", func(r bench.Record) int64 { return r.DegradationSteps }, true},
-	// Zone-map pruning decisions are pure functions of (footer, predicate):
-	// fewer pruned segments means the scan decoded work it used to skip.
-	// Spilled-segment counts depend only on the partition layout at the
-	// budgeted gather, so more spills means the governor degraded earlier.
-	{"segments_pruned", func(r bench.Record) int64 { return r.SegmentsPruned }, false},
-	{"segments_spilled", func(r bench.Record) int64 { return r.SegmentsSpilled }, true},
-	// Result-cache outcomes are pure functions of the seeded query
-	// sequence: fewer hits (or more misses) means queries that used to be
-	// served from the cache now recompute. Upgrade counts drifting down
-	// means appends that used to maintain an entry in place now invalidate
-	// it. cache_evictions is budget/size-dependent and stays informational.
-	{"cache_hits", func(r bench.Record) int64 { return r.CacheHits }, false},
-	{"cache_misses", func(r bench.Record) int64 { return r.CacheMisses }, true},
-	{"incremental_upgrades", func(r bench.Record) int64 { return r.IncrementalUpgrades }, false},
-	// Serve-experiment counters: the request count of a sweep cell is fixed
-	// by its spec and the admission verdicts are deterministic per (spec,
-	// seed) — the expectation is exact equality; latency percentiles and
-	// achieved RPS are wall-clock and stay informational.
-	{"requests_issued", func(r bench.Record) int64 { return r.RequestsIssued }, true},
-	{"admission_rejected", func(r bench.Record) int64 { return r.AdmissionRejected }, true},
+// counters lists the gated metrics: every gated row of the engine's
+// counter table (cluster.Counter), then the serve experiment's two
+// counters, which describe a load burst rather than one query. The request
+// count of a sweep cell is fixed by its spec and the admission verdicts
+// are deterministic per (spec, seed); latency percentiles and achieved RPS
+// are wall-clock and stay informational.
+var counters = gatedCounters()
+
+func gatedCounters() []counter {
+	var out []counter
+	for c := range cluster.NumCounters {
+		if c.Gate() != cluster.Informational {
+			out = append(out, counter{c.Key(), func(r bench.Record) int64 { return r.Counts[c] }, c.Gate() == cluster.HigherIsWorse})
+		}
+	}
+	return append(out,
+		counter{"requests_issued", func(r bench.Record) int64 { return r.RequestsIssued }, true},
+		counter{"admission_rejected", func(r bench.Record) int64 { return r.AdmissionRejected }, true})
 }
 
 // identity is the matching key of a record: every field that names the

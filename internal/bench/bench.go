@@ -117,69 +117,29 @@ type Spec struct {
 
 // Measurement is the outcome of one run.
 type Measurement struct {
-	Spec           Spec
-	Duration       time.Duration
-	DominanceTests int64
-	Comparisons    int64
-	RowsShuffled   int64
-	PeakDataBytes  int64
+	Spec     Spec
+	Duration time.Duration
+	// Counts snapshots the run's execution counters, indexed by
+	// cluster.Counter; skybench records carry them under the counter
+	// table's JSON keys.
+	Counts cluster.Counts
 	// PeakModelMB adds the per-executor runtime overhead to the data
 	// bytes, modelling the paper's Appendix C memory measurements.
 	PeakModelMB float64
-	// StagesExecuted counts the scheduled task rounds of the run; fused
-	// stage execution makes it smaller than the operator count.
-	StagesExecuted int64
 	// StageSeconds is the per-stage makespan breakdown, in execution
 	// order, exposing which stage dominates the query.
 	StageSeconds []float64
-	// BatchesDecoded counts columnar kernel decodes; on a sidecar-carrying
-	// plan it equals the number of input partitions (decode-free exchanges
-	// and global pass).
-	BatchesDecoded int64
-	// VectorizedBatches counts partition passes served by the vectorized
-	// expression engine (zero on boxed runs).
-	VectorizedBatches int64
 	// AdaptivePartitions lists the partition counts adaptive exchanges
 	// chose, in execution order (empty when adaptivity is off).
 	AdaptivePartitions []int
 	// CostDecisions renders the cost-model decisions of the run, in
 	// execution order (empty when the model decided nothing).
 	CostDecisions []string
-	// MorselsExecuted counts morsel-granular tasks scheduled by the run
-	// (zero when MorselParallel is off — whole partitions are not counted).
-	MorselsExecuted int64
-	// Steals counts tasks executed by a worker other than their home
-	// worker. Informational: depends on measured task durations.
-	Steals int64
 	// AchievedParallelism is busy-time / wall-time over the parallel
 	// morsel rounds (0 when none ran). Informational.
 	AchievedParallelism float64
-	// TaskRetries, TasksFailed, and InjectedFaults count the
-	// fault-tolerance events of the run. Deterministic under seeded
-	// injection in simulated mode (decisions are pure functions of the
-	// task key), so benchdiff gates on retries and faults.
-	TaskRetries    int64
-	TasksFailed    int64
-	InjectedFaults int64
-	// DegradationSteps counts memory-governor escalations (benchdiff-gated);
-	// DegradationLog lists them in order.
-	DegradationSteps int64
-	DegradationLog   []string
-	// SegmentsPruned counts storage segments skipped by zone-map pruning
-	// before decode; SegmentsSpilled counts gather inputs written to
-	// temporary segments under memory pressure. Both are pure functions of
-	// (data, plan, budget), so benchdiff gates on them.
-	SegmentsPruned  int64
-	SegmentsSpilled int64
-	// CacheHits/CacheMisses count result-cache lookups of the run;
-	// CacheEvictions counts whole entries evicted under the byte budget and
-	// IncrementalUpgrades counts in-place append upgrades drained by a hit.
-	// All four are pure functions of (queries, data, budget) under a fixed
-	// seed, so benchdiff gates on the hit/miss/upgrade counters.
-	CacheHits           int64
-	CacheMisses         int64
-	CacheEvictions      int64
-	IncrementalUpgrades int64
+	// DegradationLog lists the memory-governor escalations in order.
+	DegradationLog []string
 	// Serve-experiment load metrics. RequestsIssued and the admission
 	// counters are deterministic per (seed, sweep shape) — benchdiff gates
 	// on rejections — while the latency percentiles and achieved
@@ -354,13 +314,7 @@ func dirOf(s string) expr.SkylineDir {
 // Appendix C memory model).
 func (c Config) fill(m *Measurement, res *core.Result) {
 	m.Duration = res.Duration
-	m.DominanceTests = res.Metrics.Sky.DominanceTests()
-	m.Comparisons = res.Metrics.Sky.Comparisons()
-	m.RowsShuffled = res.Metrics.RowsShuffled()
-	m.PeakDataBytes = res.Metrics.PeakBytes()
-	m.StagesExecuted = res.Metrics.StagesExecuted()
-	m.BatchesDecoded = res.Metrics.BatchesDecoded()
-	m.VectorizedBatches = res.Metrics.VectorizedBatches()
+	m.Counts = res.Metrics.Counts()
 	for _, d := range res.Metrics.AdaptiveDecisions() {
 		m.AdaptivePartitions = append(m.AdaptivePartitions, d.Chosen)
 	}
@@ -370,21 +324,9 @@ func (c Config) fill(m *Measurement, res *core.Result) {
 	for _, st := range res.Metrics.StageTimes() {
 		m.StageSeconds = append(m.StageSeconds, st.Elapsed.Seconds())
 	}
-	m.MorselsExecuted = res.Metrics.MorselsExecuted()
-	m.Steals = res.Metrics.Steals()
 	m.AchievedParallelism = res.Metrics.AchievedParallelism()
-	m.TaskRetries = res.Metrics.TaskRetries()
-	m.TasksFailed = res.Metrics.TasksFailed()
-	m.InjectedFaults = res.Metrics.InjectedFaults()
-	m.DegradationSteps = res.Metrics.DegradationSteps()
 	m.DegradationLog = res.Metrics.Degradations()
-	m.SegmentsPruned = res.Metrics.SegmentsPruned()
-	m.SegmentsSpilled = res.Metrics.SegmentsSpilled()
-	m.CacheHits = res.Metrics.CacheHits()
-	m.CacheMisses = res.Metrics.CacheMisses()
-	m.CacheEvictions = res.Metrics.CacheEvictions()
-	m.IncrementalUpgrades = res.Metrics.IncrementalUpgrades()
-	m.PeakModelMB = c.ExecutorOverheadMB*float64(m.Spec.Executors) + float64(m.PeakDataBytes)/1e6
+	m.PeakModelMB = c.ExecutorOverheadMB*float64(m.Spec.Executors) + float64(m.Counts[cluster.PeakBytes])/1e6
 	m.ResultRows = len(res.Rows)
 }
 
@@ -443,6 +385,7 @@ func (c Config) run(spec Spec) Measurement {
 		err error
 	}
 	done := make(chan outcome, 1)
+	start := time.Now()
 	go func() {
 		res, err := engine.RunCtx(compiled, ctx)
 		done <- outcome{res, err}
@@ -451,6 +394,12 @@ func (c Config) run(spec Spec) Measurement {
 	case o := <-done:
 		if o.err != nil {
 			m.Err = o.err
+			return m
+		}
+		// A run can finish after its deadline but before the timer is
+		// delivered; it still overran.
+		if time.Since(start) > c.Timeout {
+			m.TimedOut = true
 			return m
 		}
 		c.fill(&m, o.res)

@@ -98,9 +98,9 @@ func runCache(cfg Config, w io.Writer) error {
 	if renderRows(warmRes.Rows) != renderRows(coldRes.Rows) {
 		fmt.Fprintln(w, "WARNING: warm hit is not bit-identical to the populating run")
 	}
-	if warm.CacheHits != 1 || cold.CacheMisses != 1 {
+	if c, w0 := cold.Counts, warm.Counts; w0[cluster.CacheHits] != 1 || c[cluster.CacheMisses] != 1 {
 		fmt.Fprintf(w, "WARNING: counters off: cold hits/misses=%d/%d warm=%d/%d\n",
-			cold.CacheHits, cold.CacheMisses, warm.CacheHits, warm.CacheMisses)
+			c[cluster.CacheHits], c[cluster.CacheMisses], w0[cluster.CacheHits], w0[cluster.CacheMisses])
 	}
 	speedup := "inf"
 	if warm.Seconds() > 0 {
@@ -170,7 +170,8 @@ func runCache(cfg Config, w io.Writer) error {
 	}
 	mixVariant := fmt.Sprintf("zipfian-mix,s=1.2,draws=%d,shapes=%d", draws, len(shapes))
 	emit(Measurement{Spec: spec("anti-correlated", nMix, mixVariant), Duration: cachedDur,
-		CacheHits: stats.Hits, CacheMisses: stats.Misses, CacheEvictions: stats.Evictions,
+		Counts: cluster.Counts{cluster.CacheHits: stats.Hits, cluster.CacheMisses: stats.Misses,
+			cluster.CacheEvictions: stats.Evictions},
 		ResultRows: cachedRows})
 	emit(Measurement{Spec: spec("anti-correlated", nMix, mixVariant+",nocache"), Duration: plainDur,
 		ResultRows: plainRows})
@@ -239,10 +240,10 @@ func runCache(cfg Config, w io.Writer) error {
 		}
 		st := sideCache.Stats()
 		m.Duration = total
-		m.CacheHits = st.Hits
-		m.CacheMisses = st.Misses
-		m.CacheEvictions = st.Evictions
-		m.IncrementalUpgrades = st.Upgrades
+		m.Counts[cluster.CacheHits] = st.Hits
+		m.Counts[cluster.CacheMisses] = st.Misses
+		m.Counts[cluster.CacheEvictions] = st.Evictions
+		m.Counts[cluster.IncrementalUpgrades] = st.Upgrades
 		m.ResultRows = len(last.Rows)
 		emit(m)
 		return m, renderRows(last.Rows), nil
@@ -258,8 +259,8 @@ func runCache(cfg Config, w io.Writer) error {
 	if incRows != invRows {
 		fmt.Fprintln(w, "WARNING: incremental final skyline differs from recomputed final skyline")
 	}
-	if inc.IncrementalUpgrades != batches {
-		fmt.Fprintf(w, "WARNING: expected %d incremental upgrades, observed %d\n", batches, inc.IncrementalUpgrades)
+	if inc.Counts[cluster.IncrementalUpgrades] != batches {
+		fmt.Fprintf(w, "WARNING: expected %d incremental upgrades, observed %d\n", batches, inc.Counts[cluster.IncrementalUpgrades])
 	}
 	if inc.Duration >= inv.Duration {
 		fmt.Fprintf(w, "WARNING: incremental maintenance (%s) not faster than invalidate-and-recompute (%s)\n",
@@ -268,9 +269,10 @@ func runCache(cfg Config, w io.Writer) error {
 	fmt.Fprintf(w, "cache | incremental vs invalidate | tuples=%d appends=%d in %d batches, query after each batch\n",
 		nInc, nApp, batches)
 	fmt.Fprintf(w, "%-14s%12s%8s%8s%10s%12s\n", "", "total [s]", "hits", "misses", "upgrades", "final rows")
+	ic, vc := inc.Counts, inv.Counts
 	fmt.Fprintf(w, "%-14s%12.3f%8d%8d%10d%12d\n", "incremental",
-		inc.Seconds(), inc.CacheHits, inc.CacheMisses, inc.IncrementalUpgrades, inc.ResultRows)
+		inc.Seconds(), ic[cluster.CacheHits], ic[cluster.CacheMisses], ic[cluster.IncrementalUpgrades], inc.ResultRows)
 	fmt.Fprintf(w, "%-14s%12.3f%8d%8d%10d%12d\n\n", "invalidate",
-		inv.Seconds(), inv.CacheHits, inv.CacheMisses, inv.IncrementalUpgrades, inv.ResultRows)
+		inv.Seconds(), vc[cluster.CacheHits], vc[cluster.CacheMisses], vc[cluster.IncrementalUpgrades], inv.ResultRows)
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/physical"
 )
@@ -56,14 +57,14 @@ func runChaos(cfg Config, w io.Writer) error {
 			if m.Err != nil {
 				return fmt.Errorf("chaos rate=%.2f budget=%d: %w", r, b, m.Err)
 			}
-			if m.TasksFailed != 0 {
-				return fmt.Errorf("chaos rate=%.2f budget=%d: %d tasks failed permanently", r, b, m.TasksFailed)
+			if m.Counts[cluster.TasksFailed] != 0 {
+				return fmt.Errorf("chaos rate=%.2f budget=%d: %d tasks failed permanently", r, b, m.Counts[cluster.TasksFailed])
 			}
 			if m.ResultRows != clean.ResultRows {
 				fmt.Fprintf(w, "WARNING: rate=%.2f budget=%d returned %d rows, fault-free run %d\n",
 					r, b, m.ResultRows, clean.ResultRows)
 			}
-			fmt.Fprintf(w, "%24s", fmt.Sprintf("%s/%d/%d", m.Cell(), m.InjectedFaults, m.TaskRetries))
+			fmt.Fprintf(w, "%24s", fmt.Sprintf("%s/%d/%d", m.Cell(), m.Counts[cluster.InjectedFaults], m.Counts[cluster.TaskRetries]))
 		}
 		fmt.Fprintln(w)
 	}
@@ -71,7 +72,7 @@ func runChaos(cfg Config, w io.Writer) error {
 	// Memory-governor section: budget the same plan just above its peak so
 	// the soft thresholds trip but the hard limit never does.
 	spec := base
-	spec.MemoryBudget = clean.PeakDataBytes + clean.PeakDataBytes/4
+	spec.MemoryBudget = clean.Counts[cluster.PeakBytes] + clean.Counts[cluster.PeakBytes]/4
 	spec.Variant = "budget=1.25xpeak"
 	m := cfg.Run(spec)
 	if m.Err != nil {
@@ -81,11 +82,11 @@ func runChaos(cfg Config, w io.Writer) error {
 		fmt.Fprintf(w, "WARNING: budgeted run returned %d rows, unbudgeted %d\n", m.ResultRows, clean.ResultRows)
 	}
 	fmt.Fprintf(w, "memory budget %d bytes (1.25x peak): %s s, %d degradation steps\n",
-		spec.MemoryBudget, m.Cell(), m.DegradationSteps)
+		spec.MemoryBudget, m.Cell(), m.Counts[cluster.DegradationSteps])
 	for _, step := range m.DegradationLog {
 		fmt.Fprintf(w, "  %s\n", step)
 	}
-	if m.DegradationSteps == 0 {
+	if m.Counts[cluster.DegradationSteps] == 0 {
 		fmt.Fprintln(w, "WARNING: budget at 1.25x peak never degraded")
 	}
 	fmt.Fprintln(w)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/physical"
 )
@@ -62,12 +63,12 @@ func runParallel(cfg Config, w io.Writer) error {
 		// no morsels by definition).
 		fmt.Fprintf(w, "%-10s", "morsels")
 		for _, m := range cells["morsel"] {
-			fmt.Fprintf(w, "%12d", m.MorselsExecuted)
+			fmt.Fprintf(w, "%12d", m.Counts[cluster.MorselsExecuted])
 		}
 		fmt.Fprintln(w)
 		fmt.Fprintf(w, "%-10s", "steals")
 		for _, m := range cells["morsel"] {
-			fmt.Fprintf(w, "%12d", m.Steals)
+			fmt.Fprintf(w, "%12d", m.Counts[cluster.Steals])
 		}
 		fmt.Fprintln(w)
 		fmt.Fprintf(w, "%-10s", "parallel")

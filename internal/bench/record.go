@@ -1,5 +1,13 @@
 package bench
 
+import (
+	"encoding/json"
+	"fmt"
+	"strconv"
+
+	"skysql/internal/cluster"
+)
+
 // Record is one measurement in machine-readable form, the unit of the
 // skybench -json output. Future PRs append these documents to a
 // BENCH_*.json trajectory to track performance across changes.
@@ -17,22 +25,12 @@ type Record struct {
 	Variant        string  `json:"variant,omitempty"`
 	ColumnarKernel bool    `json:"columnar_kernel"`
 	WallSeconds    float64 `json:"wall_time_seconds"`
-	DominanceTests int64   `json:"dominance_tests"`
-	Comparisons    int64   `json:"comparisons"`
-	RowsShuffled   int64   `json:"rows_shuffled"`
-	PeakBytes      int64   `json:"peak_bytes"`
 	PeakModelMB    float64 `json:"peak_model_mb"`
-	StagesExecuted int64   `json:"stages_executed"`
 	// StageSeconds is the per-stage makespan breakdown in execution order.
 	StageSeconds []float64 `json:"stage_seconds,omitempty"`
-	// BatchesDecoded counts columnar kernel decodes; equal to the input
-	// partition count on a fully sidecar-carrying (decode-free) plan.
-	BatchesDecoded int64 `json:"batches_decoded"`
 	// VectorizedExprs reports whether the vectorized expression engine was
-	// enabled for the run; VectorizedBatches counts the partition passes it
-	// actually served.
-	VectorizedExprs   bool  `json:"vectorized_exprs"`
-	VectorizedBatches int64 `json:"vectorized_batches"`
+	// enabled for the run.
+	VectorizedExprs bool `json:"vectorized_exprs"`
 	// AdaptiveTargetRows is the rows-per-partition target of adaptive
 	// exchanges (0 = static executor-count partitioning, unless
 	// AdaptiveExchange picked targets per exchange).
@@ -53,12 +51,6 @@ type Record struct {
 	// MorselParallel reports morsel-granular task splitting + the parallel
 	// global-skyline kernel; part of a record's identity in benchdiff.
 	MorselParallel bool `json:"morsel_parallel,omitempty"`
-	// MorselsExecuted counts morsel tasks scheduled (0 with morsel
-	// parallelism off). Deterministic — benchdiff gates on it.
-	MorselsExecuted int64 `json:"morsels_executed,omitempty"`
-	// Steals counts tasks run away from their home worker. Informational:
-	// placement depends on measured durations, so benchdiff does not gate.
-	Steals int64 `json:"steals,omitempty"`
 	// AchievedParallelism is busy/wall over the parallel morsel rounds.
 	// Informational.
 	AchievedParallelism float64 `json:"achieved_parallelism,omitempty"`
@@ -67,33 +59,8 @@ type Record struct {
 	// benchdiff so faulted cells only compare against faulted cells.
 	FaultRate   float64 `json:"fault_rate,omitempty"`
 	RetryBudget int     `json:"retry_budget,omitempty"`
-	// TaskRetries and InjectedFaults count retried attempts and injected
-	// transient faults. Deterministic per (seed, plan) in simulated mode —
-	// benchdiff gates on both. TasksFailed counts permanent task failures
-	// (always 0 in a committed baseline: errored cells fail the harness).
-	TaskRetries    int64 `json:"task_retries,omitempty"`
-	TasksFailed    int64 `json:"tasks_failed,omitempty"`
-	InjectedFaults int64 `json:"injected_faults,omitempty"`
-	// DegradationSteps counts memory-governor escalations (deterministic
-	// per budgeted plan — benchdiff gates on it); DegradationLog lists the
-	// steps in order, informationally.
-	DegradationSteps int64    `json:"degradation_steps,omitempty"`
-	DegradationLog   []string `json:"degradation_log,omitempty"`
-	// SegmentsPruned counts storage segments skipped by zone-map pruning;
-	// SegmentsSpilled counts gather inputs spilled to temporary segments
-	// under memory pressure. Deterministic per (data, plan, budget) —
-	// benchdiff gates on both.
-	SegmentsPruned  int64 `json:"segments_pruned,omitempty"`
-	SegmentsSpilled int64 `json:"segments_spilled,omitempty"`
-	// CacheHits and CacheMisses count result-cache lookups;
-	// IncrementalUpgrades counts in-place append upgrades drained by hits.
-	// Pure functions of the seeded query sequence, so benchdiff gates on
-	// all three. CacheEvictions (budget-driven whole-entry evictions) is
-	// informational.
-	CacheHits           int64 `json:"cache_hits,omitempty"`
-	CacheMisses         int64 `json:"cache_misses,omitempty"`
-	CacheEvictions      int64 `json:"cache_evictions,omitempty"`
-	IncrementalUpgrades int64 `json:"incremental_upgrades,omitempty"`
+	// DegradationLog lists the memory-governor escalations in order.
+	DegradationLog []string `json:"degradation_log,omitempty"`
 	// Clients and TargetRPS identify a serve-experiment cell (the load
 	// generator's client count and aggregate request rate); both join a
 	// record's identity in benchdiff, like the chaos fields.
@@ -116,6 +83,9 @@ type Record struct {
 	ResultRows   int     `json:"result_rows"`
 	TimedOut     bool    `json:"timed_out"`
 	Error        string  `json:"error,omitempty"`
+	// Counts carries the run's execution counters, written and read under
+	// the counter table's JSON keys (see MarshalJSON).
+	Counts cluster.Counts `json:"-"`
 }
 
 // NewRecord flattens a measurement into a record tagged with the
@@ -132,38 +102,19 @@ func NewRecord(experiment string, m Measurement) Record {
 		Variant:             m.Spec.Variant,
 		ColumnarKernel:      !m.Spec.NoKernel,
 		WallSeconds:         m.Seconds(),
-		DominanceTests:      m.DominanceTests,
-		Comparisons:         m.Comparisons,
-		RowsShuffled:        m.RowsShuffled,
-		PeakBytes:           m.PeakDataBytes,
 		PeakModelMB:         m.PeakModelMB,
-		StagesExecuted:      m.StagesExecuted,
 		StageSeconds:        m.StageSeconds,
-		BatchesDecoded:      m.BatchesDecoded,
 		VectorizedExprs:     !m.Spec.NoVector,
-		VectorizedBatches:   m.VectorizedBatches,
 		AdaptiveTargetRows:  m.Spec.AdaptiveTarget,
 		AdaptiveExchange:    m.Spec.AdaptiveDefault,
 		AdaptivePartitions:  m.AdaptivePartitions,
 		CostGate:            !m.Spec.NoCostGate && !m.Spec.NoVector && !m.Spec.NoKernel,
 		CostDecisions:       m.CostDecisions,
 		MorselParallel:      m.Spec.MorselParallel,
-		MorselsExecuted:     m.MorselsExecuted,
-		Steals:              m.Steals,
 		AchievedParallelism: m.AchievedParallelism,
 		FaultRate:           m.Spec.FaultRate,
 		RetryBudget:         m.Spec.RetryBudget,
-		TaskRetries:         m.TaskRetries,
-		TasksFailed:         m.TasksFailed,
-		InjectedFaults:      m.InjectedFaults,
-		DegradationSteps:    m.DegradationSteps,
 		DegradationLog:      m.DegradationLog,
-		SegmentsPruned:      m.SegmentsPruned,
-		SegmentsSpilled:     m.SegmentsSpilled,
-		CacheHits:           m.CacheHits,
-		CacheMisses:         m.CacheMisses,
-		CacheEvictions:      m.CacheEvictions,
-		IncrementalUpgrades: m.IncrementalUpgrades,
 		Clients:             m.Spec.Clients,
 		TargetRPS:           m.Spec.TargetRPS,
 		RequestsIssued:      m.RequestsIssued,
@@ -176,11 +127,52 @@ func NewRecord(experiment string, m Measurement) Record {
 		AchievedRPS:         m.AchievedRPS,
 		ResultRows:          m.ResultRows,
 		TimedOut:            m.TimedOut,
+		Counts:              m.Counts,
 	}
 	if m.Err != nil {
 		r.Error = m.Err.Error()
 	}
 	return r
+}
+
+// MarshalJSON writes the record's fields followed by every counter of the
+// counter table under its JSON key.
+func (r Record) MarshalJSON() ([]byte, error) {
+	type fields Record // no methods, so Marshal does not recurse
+	b, err := json.Marshal(fields(r))
+	if err != nil {
+		return nil, err
+	}
+	b = b[:len(b)-1] // reopen the object; it always holds the fixed fields
+	for c := range cluster.NumCounters {
+		b = append(b, ',')
+		b = strconv.AppendQuote(b, c.Key())
+		b = append(b, ':')
+		b = strconv.AppendInt(b, r.Counts[c], 10)
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSON reads the record's fields and its counters under their
+// JSON keys; a counter absent from the document reads 0.
+func (r *Record) UnmarshalJSON(data []byte) error {
+	type fields Record
+	if err := json.Unmarshal(data, (*fields)(r)); err != nil {
+		return err
+	}
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	r.Counts = cluster.Counts{}
+	for c := range cluster.NumCounters {
+		if v, ok := raw[c.Key()]; ok {
+			if err := json.Unmarshal(v, &r.Counts[c]); err != nil {
+				return fmt.Errorf("record key %q: %w", c.Key(), err)
+			}
+		}
+	}
+	return nil
 }
 
 // Report is the top-level document of the skybench -json output.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"skysql"
+	"skysql/internal/cluster"
 	"skysql/internal/core"
 	"skysql/internal/datagen"
 	"skysql/internal/server"
@@ -238,14 +239,16 @@ func runServe(cfg Config, w io.Writer) error {
 				clients, rps),
 			Duration:       elapsed,
 			RequestsIssued: int64(total),
-			CacheHits:      stats.Hits,
-			CacheMisses:    stats.Misses,
-			CacheEvictions: stats.Evictions,
-			LatencyP50MS:   percentileMS(latencies, 0.50),
-			LatencyP95MS:   percentileMS(latencies, 0.95),
-			LatencyP99MS:   percentileMS(latencies, 0.99),
-			AchievedRPS:    float64(total) / elapsed.Seconds(),
-			ResultRows:     int(rowsTotal.Load()),
+			Counts: cluster.Counts{
+				cluster.CacheHits:      stats.Hits,
+				cluster.CacheMisses:    stats.Misses,
+				cluster.CacheEvictions: stats.Evictions,
+			},
+			LatencyP50MS: percentileMS(latencies, 0.50),
+			LatencyP95MS: percentileMS(latencies, 0.95),
+			LatencyP99MS: percentileMS(latencies, 0.99),
+			AchievedRPS:  float64(total) / elapsed.Seconds(),
+			ResultRows:   int(rowsTotal.Load()),
 		}
 		emit(m)
 		fmt.Fprintf(w, "%-10d%10d%12.0f%12.1f%12.2f%12.2f%8.2f%8d%12d\n",
@@ -432,18 +435,20 @@ func runServeGovernor(cfg Config, w io.Writer, spec func(int, string, int, float
 		fmt.Fprintln(w, "WARNING: global budget at the unbudgeted peak never engaged the degradation ladder")
 	}
 	m := Measurement{
-		Spec:             spec(nGov, "governor,global-budget=peak", 1, 0),
-		Duration:         time.Duration(gov.resp.DurationMS * float64(time.Millisecond)),
-		RequestsIssued:   1,
-		DegradationSteps: gov.resp.Metrics.DegradationSteps,
-		DegradationLog:   gov.resp.Metrics.Degradations,
-		PeakDataBytes:    gov.resp.Metrics.PeakBytes,
-		ResultRows:       gov.resp.RowCount,
+		Spec:           spec(nGov, "governor,global-budget=peak", 1, 0),
+		Duration:       time.Duration(gov.resp.DurationMS * float64(time.Millisecond)),
+		RequestsIssued: 1,
+		Counts: cluster.Counts{
+			cluster.DegradationSteps: gov.resp.Metrics.DegradationSteps,
+			cluster.PeakBytes:        gov.resp.Metrics.PeakBytes,
+		},
+		DegradationLog: gov.resp.Metrics.Degradations,
+		ResultRows:     gov.resp.RowCount,
 	}
 	emit(m)
 	fmt.Fprintf(w, "serve | governor | tuples=%d unbudgeted peak=%d budget=%d (100%%)\n", nGov, peak, budget)
 	fmt.Fprintf(w, "%-10s%12s%14s%14s%12s\n", "", "steps", "escalations", "peak bytes", "rows")
 	fmt.Fprintf(w, "%-10s%12d%14d%14d%12d\n\n", "budgeted",
-		m.DegradationSteps, gst.Escalations, m.PeakDataBytes, m.ResultRows)
+		m.Counts[cluster.DegradationSteps], gst.Escalations, m.Counts[cluster.PeakBytes], m.ResultRows)
 	return nil
 }

@@ -138,7 +138,7 @@ func runStorage(cfg Config, w io.Writer) error {
 			}
 			fmt.Fprintf(w, "d1<%-9g%12.3f%14.3f%18.3f%16s%10d\n",
 				cut, cells[0].Seconds(), cells[1].Seconds(), cells[2].Seconds(),
-				fmt.Sprintf("%d/%d", cells[2].SegmentsPruned, len(store.Segments())), cells[0].ResultRows)
+				fmt.Sprintf("%d/%d", cells[2].Counts[cluster.SegmentsPruned], len(store.Segments())), cells[0].ResultRows)
 		}
 		fmt.Fprintln(w)
 	}
@@ -204,7 +204,7 @@ func runStorage(cfg Config, w io.Writer) error {
 	// the spill rung (first, by ladder order) before the gather
 	// materializes its output, and spilling halves the gather peak, keeping
 	// the run inside the budget.
-	budget := clean.PeakDataBytes * 9 / 10
+	budget := clean.Counts[cluster.PeakBytes] * 9 / 10
 	m, err := runSeg(budget, spillDir, fmt.Sprintf("segments+prune+spill,budget=0.9xpeak,d1<%g", spillCut))
 	if err != nil {
 		return fmt.Errorf("storage spill: %w", err)
@@ -213,11 +213,11 @@ func runStorage(cfg Config, w io.Writer) error {
 		fmt.Fprintf(w, "WARNING: spilled run returned %d rows, unbudgeted %d\n", m.ResultRows, clean.ResultRows)
 	}
 	fmt.Fprintf(w, "spill | distribution=%s d1<%g memory budget %d bytes (0.9x peak): %s s, %d segments spilled, %d degradation steps\n",
-		dist, spillCut, budget, m.Cell(), m.SegmentsSpilled, m.DegradationSteps)
+		dist, spillCut, budget, m.Cell(), m.Counts[cluster.SegmentsSpilled], m.Counts[cluster.DegradationSteps])
 	for _, step := range m.DegradationLog {
 		fmt.Fprintf(w, "  %s\n", step)
 	}
-	if m.SegmentsSpilled == 0 {
+	if m.Counts[cluster.SegmentsSpilled] == 0 {
 		fmt.Fprintln(w, "WARNING: budget at 0.9x peak never spilled")
 	}
 	fmt.Fprintln(w)

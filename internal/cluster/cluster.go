@@ -114,29 +114,14 @@ func (d *Dataset) MemSize() int64 {
 
 // Metrics accumulates execution counters. Safe for concurrent use.
 type Metrics struct {
-	rowsShuffled atomic.Int64
+	// counts holds the plain counters of the counter table, indexed by
+	// Counter (see counters.go).
+	counts [NumCounters]atomic.Int64
+
 	curBytes     atomic.Int64
 	peakBytes    atomic.Int64
-	stages       atomic.Int64
-	vectorized   atomic.Int64
-
-	morsels      atomic.Int64
-	steals       atomic.Int64
 	parallelBusy atomic.Int64 // nanos of task work inside parallel rounds
 	parallelWall atomic.Int64 // nanos of (real or modeled) round makespans
-
-	taskRetries    atomic.Int64
-	tasksFailed    atomic.Int64
-	injectedFaults atomic.Int64
-	degradeSteps   atomic.Int64
-
-	segmentsPruned  atomic.Int64
-	segmentsSpilled atomic.Int64
-
-	cacheHits           atomic.Int64
-	cacheMisses         atomic.Int64
-	cacheEvictions      atomic.Int64
-	incrementalUpgrades atomic.Int64
 
 	// governor, when attached, mirrors this query's live-byte movements
 	// into the shared cross-query pool (see governor.go).
@@ -154,186 +139,26 @@ type Metrics struct {
 	Sky skyline.Stats
 }
 
-// AddSegmentsPruned records n segments skipped by zone-map pruning before
-// any page was decoded.
-func (m *Metrics) AddSegmentsPruned(n int64) {
-	if m != nil && n != 0 {
-		m.segmentsPruned.Add(n)
-	}
-}
+// Named reads of counter-table rows (see counters.go for what each counts
+// and how benchdiff treats it).
 
-// SegmentsPruned returns the number of segments a scan skipped because
-// the zone maps proved the filter predicate empty over them. Prune
-// decisions are pure functions of (footer zone maps, predicate) — never
-// wall clock or worker placement — so the count is deterministic and
-// benchdiff can gate it, simulate mode included.
-func (m *Metrics) SegmentsPruned() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.segmentsPruned.Load()
-}
-
-// AddSegmentsSpilled records n buffers written out as temporary segments
-// by the memory governor's spill tier.
-func (m *Metrics) AddSegmentsSpilled(n int64) {
-	if m != nil && n != 0 {
-		m.segmentsSpilled.Add(n)
-	}
-}
-
-// SegmentsSpilled returns the number of gather buffers the memory
-// governor spilled to temporary segments instead of holding live.
-func (m *Metrics) SegmentsSpilled() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.segmentsSpilled.Load()
-}
-
-// FormatSegments renders the out-of-core counters, or "" when the query
-// touched no segment machinery (no noise for in-memory runs).
-func (m *Metrics) FormatSegments() string {
-	if m == nil {
-		return ""
-	}
-	pruned, spilled := m.segmentsPruned.Load(), m.segmentsSpilled.Load()
-	if pruned == 0 && spilled == 0 {
-		return ""
-	}
-	return fmt.Sprintf("segments: %d pruned, %d spilled", pruned, spilled)
-}
-
-// AddCacheHit records one skyline result-cache hit: a query answered from
-// a cached entry without executing its stages.
-func (m *Metrics) AddCacheHit() {
-	if m != nil {
-		m.cacheHits.Add(1)
-	}
-}
-
-// CacheHits returns the number of result-cache hits. Hit/miss outcomes are
-// pure functions of (query sequence, table versions, cache budget) — never
-// wall clock — so benchdiff gates the count.
-func (m *Metrics) CacheHits() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheHits.Load()
-}
-
-// AddCacheMiss records one result-cache lookup that found no usable entry
-// and fell through to stage execution.
-func (m *Metrics) AddCacheMiss() {
-	if m != nil {
-		m.cacheMisses.Add(1)
-	}
-}
-
-// CacheMisses returns the number of result-cache misses.
-func (m *Metrics) CacheMisses() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheMisses.Load()
-}
-
-// AddCacheEvictions records n whole entries evicted from the result cache
-// by its LRU byte budget (sidecar drops are degradation, not eviction, and
-// are not counted here).
-func (m *Metrics) AddCacheEvictions(n int64) {
-	if m != nil && n != 0 {
-		m.cacheEvictions.Add(n)
-	}
-}
-
-// CacheEvictions returns the number of whole result-cache entries evicted
-// under the byte budget.
-func (m *Metrics) CacheEvictions() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.cacheEvictions.Load()
-}
-
-// AddIncrementalUpgrade records one cache entry upgraded in place after a
-// table append — new points absorbed by stream.Incremental against the
-// cached skyline instead of invalidating the entry.
-func (m *Metrics) AddIncrementalUpgrade() {
-	if m != nil {
-		m.incrementalUpgrades.Add(1)
-	}
-}
-
-// IncrementalUpgrades returns the number of in-place incremental cache
-// entry upgrades.
-func (m *Metrics) IncrementalUpgrades() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.incrementalUpgrades.Load()
-}
-
-// FormatResultCache renders the result-cache counters, or "" when the
-// query touched no cache (no noise for uncached runs).
-func (m *Metrics) FormatResultCache() string {
-	if m == nil {
-		return ""
-	}
-	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
-	evicted, upgraded := m.cacheEvictions.Load(), m.incrementalUpgrades.Load()
-	if hits == 0 && misses == 0 && evicted == 0 && upgraded == 0 {
-		return ""
-	}
-	return fmt.Sprintf("result cache: %d hits, %d misses, %d evictions, %d incremental upgrades",
-		hits, misses, evicted, upgraded)
-}
-
-// AddMorsels records n morsel tasks scheduled by a morsel-parallel round.
-func (m *Metrics) AddMorsels(n int64) {
-	if m != nil {
-		m.morsels.Add(n)
-	}
-}
-
-// MorselsExecuted returns the number of morsel tasks scheduled by
-// morsel-parallel rounds. Zero when morsel parallelism was off: whole
-// partitions scheduled by the classic path are not morsels. The count is a
-// pure function of the data layout and the executor budget (morsel sizing
-// never consults the real core count), so benchdiff can gate it.
-func (m *Metrics) MorselsExecuted() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.morsels.Load()
-}
-
-// AddSteal records one work-stealing event: a task executed by a worker
-// other than the one it was enqueued on. On the real pool this is observed;
-// in simulate mode it is derived from the greedy makespan model's task
-// placement (a morsel placed off its home partition's worker).
-func (m *Metrics) AddSteal() {
-	if m != nil {
-		m.steals.Add(1)
-	}
-}
-
-// AddSteals records n work-stealing events at once.
-func (m *Metrics) AddSteals(n int64) {
-	if m != nil && n != 0 {
-		m.steals.Add(n)
-	}
-}
-
-// Steals returns the number of work-stealing events. Informational (the
-// real pool's placement depends on timing); morsel counts are the
-// deterministic twin.
-func (m *Metrics) Steals() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.steals.Load()
-}
+func (m *Metrics) StagesExecuted() int64      { return m.Get(StagesExecuted) }
+func (m *Metrics) RowsShuffled() int64        { return m.Get(RowsShuffled) }
+func (m *Metrics) PeakBytes() int64           { return m.Get(PeakBytes) }
+func (m *Metrics) BatchesDecoded() int64      { return m.Get(BatchesDecoded) }
+func (m *Metrics) VectorizedBatches() int64   { return m.Get(VectorizedBatches) }
+func (m *Metrics) MorselsExecuted() int64     { return m.Get(MorselsExecuted) }
+func (m *Metrics) Steals() int64              { return m.Get(Steals) }
+func (m *Metrics) TaskRetries() int64         { return m.Get(TaskRetries) }
+func (m *Metrics) TasksFailed() int64         { return m.Get(TasksFailed) }
+func (m *Metrics) InjectedFaults() int64      { return m.Get(InjectedFaults) }
+func (m *Metrics) DegradationSteps() int64    { return m.Get(DegradationSteps) }
+func (m *Metrics) SegmentsPruned() int64      { return m.Get(SegmentsPruned) }
+func (m *Metrics) SegmentsSpilled() int64     { return m.Get(SegmentsSpilled) }
+func (m *Metrics) CacheHits() int64           { return m.Get(CacheHits) }
+func (m *Metrics) CacheMisses() int64         { return m.Get(CacheMisses) }
+func (m *Metrics) CacheEvictions() int64      { return m.Get(CacheEvictions) }
+func (m *Metrics) IncrementalUpgrades() int64 { return m.Get(IncrementalUpgrades) }
 
 // AddWorkerBusy charges d of busy time to the given worker.
 func (m *Metrics) AddWorkerBusy(worker int, d time.Duration) {
@@ -386,28 +211,6 @@ func (m *Metrics) AchievedParallelism() float64 {
 		return 0
 	}
 	return float64(m.parallelBusy.Load()) / float64(wall)
-}
-
-// FormatMorsels renders the morsel-runtime counters for EXPLAIN and the
-// shell ("" when no morsel-parallel round ran).
-func (m *Metrics) FormatMorsels() string {
-	morsels := m.MorselsExecuted()
-	if morsels == 0 {
-		return ""
-	}
-	s := fmt.Sprintf("morsels executed: %d, steals: %d", morsels, m.Steals())
-	if ap := m.AchievedParallelism(); ap > 0 {
-		s += fmt.Sprintf(", achieved parallelism: %.2fx", ap)
-	}
-	s += "\n"
-	if busy := m.WorkerBusy(); len(busy) > 0 {
-		parts := make([]string, len(busy))
-		for i, d := range busy {
-			parts[i] = d.Round(time.Microsecond).String()
-		}
-		s += "worker busy: [" + strings.Join(parts, " ") + "]\n"
-	}
-	return s
 }
 
 // AdaptiveDecision records one adaptive post-exchange partitioning choice:
@@ -512,37 +315,6 @@ func (m *Metrics) FormatCostDecisions() string {
 	return sb.String()
 }
 
-// BatchesDecoded returns the number of columnar batches decoded during the
-// run. On a sidecar-carrying local→global skyline plan it equals the
-// number of input partitions: the global pass and the exchanges between
-// are decode-free.
-func (m *Metrics) BatchesDecoded() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.Sky.BatchesDecoded()
-}
-
-// AddVectorizedBatch records one partition whose filter/projection/
-// extremum expression pass ran on the vectorized engine instead of the
-// boxed row loop.
-func (m *Metrics) AddVectorizedBatch() {
-	if m != nil {
-		m.vectorized.Add(1)
-	}
-}
-
-// VectorizedBatches returns the number of partition passes served by the
-// vectorized expression engine. On a decode-at-scan plan with a
-// vectorizable filter it is at least the number of input partitions; zero
-// means every expression ran boxed.
-func (m *Metrics) VectorizedBatches() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.vectorized.Load()
-}
-
 // StageTime is the makespan record of one executed stage (one scheduled
 // MapPartitions task round): in simulate mode Elapsed is the modeled
 // makespan under the configured executor count (including per-task
@@ -597,38 +369,6 @@ func (m *Metrics) FormatStageTimes() string {
 	return sb.String()
 }
 
-// AddStage records one scheduled stage: a wave of per-partition tasks
-// submitted in one MapPartitions round. Under stage-fused execution a
-// whole pipeline of narrow operators costs a single stage.
-func (m *Metrics) AddStage() {
-	if m != nil {
-		m.stages.Add(1)
-	}
-}
-
-// StagesExecuted returns the number of scheduled task rounds (stages).
-func (m *Metrics) StagesExecuted() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.stages.Load()
-}
-
-// AddShuffled records rows moved through an exchange.
-func (m *Metrics) AddShuffled(n int64) {
-	if m != nil {
-		m.rowsShuffled.Add(n)
-	}
-}
-
-// RowsShuffled returns the number of rows moved through exchanges.
-func (m *Metrics) RowsShuffled() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.rowsShuffled.Load()
-}
-
 // Alloc charges n bytes of materialized data and updates the peak. When a
 // global governor is attached the charge also lands in the shared pool.
 func (m *Metrics) Alloc(n int64) {
@@ -678,14 +418,6 @@ func (m *Metrics) LiveBytes() int64 {
 		return 0
 	}
 	return m.curBytes.Load()
-}
-
-// PeakBytes returns the highest concurrently-materialized byte count seen.
-func (m *Metrics) PeakBytes() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.peakBytes.Load()
 }
 
 // ErrCanceled is returned by operators when the context was canceled.
@@ -945,7 +677,7 @@ func (c *Context) mapPartitions(in *Dataset, fn ColumnarFn, splittable bool) (*D
 	if err := c.CheckBudget(); err != nil {
 		return nil, err
 	}
-	c.Metrics.AddStage()
+	c.Metrics.Add(StagesExecuted, 1)
 	// The stage number keys fault-injection and retry jitter. It comes from
 	// the metrics counter, which only driver-side round submissions bump —
 	// serially — so it is deterministic per plan, never per timing.
@@ -1001,7 +733,7 @@ func (c *Context) mapPartitions(in *Dataset, fn ColumnarFn, splittable bool) (*D
 		}
 	}
 	if morselMode {
-		c.Metrics.AddMorsels(int64(len(tasks)))
+		c.Metrics.Add(MorselsExecuted, int64(len(tasks)))
 	}
 	if !morselMode {
 		homes = nil // whole-partition round: no modeled steal accounting
@@ -1081,9 +813,9 @@ func (c *Context) RunMorsels(tasks []func() error) error {
 	if err := c.CheckBudget(); err != nil {
 		return err
 	}
-	c.Metrics.AddStage()
+	c.Metrics.Add(StagesExecuted, 1)
 	stage := c.Metrics.StagesExecuted()
-	c.Metrics.AddMorsels(int64(len(tasks)))
+	c.Metrics.Add(MorselsExecuted, int64(len(tasks)))
 	wrapped := make([]func() error, len(tasks))
 	homes := make([]int, len(tasks))
 	for i := range tasks {
@@ -1122,7 +854,7 @@ func (c *Context) runTasks(tasks []func() error, homes []int) error {
 	var busy atomic.Int64
 	err := pool.RunBatch(poolTasks, c.Canceled, func(worker int, stolen bool, d time.Duration) {
 		if stolen {
-			c.Metrics.AddSteal()
+			c.Metrics.Add(Steals, 1)
 		}
 		c.Metrics.AddWorkerBusy(worker, d)
 		busy.Add(int64(d))
@@ -1184,7 +916,7 @@ func (c *Context) runTasksSimulated(tasks []func() error, homes []int) error {
 			}
 			c.Metrics.AddWorkerBusy(w, durations[i])
 		}
-		c.Metrics.AddSteals(steals)
+		c.Metrics.Add(Steals, steals)
 		c.Metrics.AddParallelRound(busy, makespan)
 	}
 	return nil
@@ -1356,7 +1088,7 @@ func (c *Context) Exchange(in *Dataset, dist Distribution, key KeyFunc) (*Datase
 	if err := c.CheckBudget(); err != nil {
 		return nil, err
 	}
-	c.Metrics.AddShuffled(int64(in.NumRows()))
+	c.Metrics.Add(RowsShuffled, int64(in.NumRows()))
 	switch dist {
 	case AllTuples:
 		rows, err := c.gatherExchange(in)
@@ -1473,7 +1205,7 @@ func (c *Context) spillGather(in *Dataset) ([]types.Row, error) {
 		segs = append(segs, seg)
 		total += len(p)
 	}
-	c.Metrics.AddSegmentsSpilled(int64(len(segs)))
+	c.Metrics.Add(SegmentsSpilled, int64(len(segs)))
 	c.Metrics.Free(in.MemSize())
 	in.Parts, in.Batches = nil, nil
 	rows := make([]types.Row, 0, total)

@@ -295,7 +295,7 @@ func TestStagesExecutedCountsTaskRounds(t *testing.T) {
 		t.Errorf("stages after empty round = %d, want 2", got)
 	}
 	var nilM *Metrics
-	nilM.AddStage()
+	nilM.Add(StagesExecuted, 1)
 	if nilM.StagesExecuted() != 0 {
 		t.Error("nil metrics must report 0 stages")
 	}

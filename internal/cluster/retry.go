@@ -99,11 +99,11 @@ func (c *Context) taskAttempts(stage, part, morsel int64, run func() error) func
 				return err
 			}
 			if IsTransient(err) && attempt < int64(c.MaxTaskRetries) {
-				c.Metrics.AddTaskRetry()
+				c.Metrics.Add(TaskRetries, 1)
 				c.backoff(stage, part, morsel, attempt)
 				continue
 			}
-			c.Metrics.AddTaskFailed()
+			c.Metrics.Add(TasksFailed, 1)
 			return &TaskError{Stage: stage, Partition: part, Morsel: morsel, Attempts: attempt + 1, Err: err}
 		}
 	}
@@ -134,7 +134,7 @@ func (c *Context) attemptTask(stage, part, morsel, attempt int64, run func() err
 			}
 		}
 		if d.Fail {
-			c.Metrics.AddInjectedFault()
+			c.Metrics.Add(InjectedFaults, 1)
 			return Transient(fmt.Errorf("chaos: injected fault (stage %d partition %d morsel %d attempt %d)",
 				stage, part, morsel, attempt))
 		}
@@ -276,74 +276,15 @@ func (c *Context) climbLadder(live, budget int64, scope string, g *Governor) err
 	}
 }
 
-// ---- Fault-tolerance metrics ----
-
-// AddTaskRetry records one retried task attempt.
-func (m *Metrics) AddTaskRetry() {
-	if m != nil {
-		m.taskRetries.Add(1)
-	}
-}
-
-// TaskRetries returns the number of task attempts that were retried after
-// a transient failure. Deterministic under fault injection (decisions are
-// pure functions of the task key), so benchdiff gates on it.
-func (m *Metrics) TaskRetries() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.taskRetries.Load()
-}
-
-// AddTaskFailed records one task that failed permanently (retry budget
-// exhausted, or a non-transient error).
-func (m *Metrics) AddTaskFailed() {
-	if m != nil {
-		m.tasksFailed.Add(1)
-	}
-}
-
-// TasksFailed returns the number of permanently failed tasks.
-func (m *Metrics) TasksFailed() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.tasksFailed.Load()
-}
-
-// AddInjectedFault records one chaos-injected transient task failure.
-func (m *Metrics) AddInjectedFault() {
-	if m != nil {
-		m.injectedFaults.Add(1)
-	}
-}
-
-// InjectedFaults returns the number of chaos-injected task failures.
-// Deterministic per (seed, plan), so benchdiff gates on it.
-func (m *Metrics) InjectedFaults() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.injectedFaults.Load()
-}
-
 // AddDegradation records one memory-governor escalation, in order.
 func (m *Metrics) AddDegradation(step string) {
 	if m == nil {
 		return
 	}
-	m.degradeSteps.Add(1)
+	m.Add(DegradationSteps, 1)
 	m.mu.Lock()
 	m.degrade = append(m.degrade, step)
 	m.mu.Unlock()
-}
-
-// DegradationSteps returns the number of memory-governor escalations.
-func (m *Metrics) DegradationSteps() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.degradeSteps.Load()
 }
 
 // Degradations returns the recorded escalation steps, in order.
@@ -356,21 +297,4 @@ func (m *Metrics) Degradations() []string {
 	out := make([]string, len(m.degrade))
 	copy(out, m.degrade)
 	return out
-}
-
-// FormatFaults renders the fault-tolerance counters for EXPLAIN and the
-// shell ("" when nothing fault-related happened).
-func (m *Metrics) FormatFaults() string {
-	if m.TaskRetries() == 0 && m.TasksFailed() == 0 && m.InjectedFaults() == 0 && m.DegradationSteps() == 0 {
-		return ""
-	}
-	s := fmt.Sprintf("task retries: %d, injected faults: %d, tasks failed: %d\n",
-		m.TaskRetries(), m.InjectedFaults(), m.TasksFailed())
-	if steps := m.Degradations(); len(steps) > 0 {
-		s += "degradation steps:\n"
-		for _, st := range steps {
-			s += "  " + st + "\n"
-		}
-	}
-	return s
 }

@@ -122,7 +122,7 @@ func (a *AggregateExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) 
 				}
 			}
 		}
-		ctx.Metrics.AddShuffled(int64(len(p.keys)))
+		ctx.Metrics.Add(cluster.RowsShuffled, int64(len(p.keys)))
 	}
 	// Global aggregation over empty input still yields one row.
 	if len(a.Groups) == 0 && len(order) == 0 {

@@ -117,7 +117,7 @@ func (s *ScanExec) executeSegments(ctx *cluster.Context) (*cluster.Dataset, erro
 		}
 	}
 	if len(s.Prune) > 0 && !ctx.DisableSegmentPrune {
-		ctx.Metrics.AddSegmentsPruned(int64(pruned))
+		ctx.Metrics.Add(cluster.SegmentsPruned, int64(pruned))
 		choice := "scan-all"
 		if pruned > 0 {
 			choice = "prune"
@@ -203,7 +203,7 @@ func (f *FilterExec) PartitionTransform(ctx *cluster.Context) cluster.ColumnarFn
 			sel, err := ve.EvalPredicate(f.Cond)
 			if err == nil {
 				release := chargeScratch(ctx, ve, cols)
-				ctx.Metrics.AddVectorizedBatch()
+				ctx.Metrics.Add(cluster.VectorizedBatches, 1)
 				var keep []types.Row
 				for i, ok := range sel {
 					if ok {
@@ -368,7 +368,7 @@ func (p *ProjectExec) PartitionTransform(ctx *cluster.Context) cluster.ColumnarF
 		}
 		if vectorized {
 			release := chargeScratch(ctx, ve, cols)
-			ctx.Metrics.AddVectorizedBatch()
+			ctx.Metrics.Add(cluster.VectorizedBatches, 1)
 			release()
 		}
 		return res, nb, nil

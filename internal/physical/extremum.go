@@ -226,7 +226,7 @@ func (x *ExtremumFilterExec) vectorPass1(ctx *cluster.Context, b *skyline.Batch)
 		return nil, false, err
 	}
 	release := chargeScratch(ctx, ve, cols)
-	ctx.Metrics.AddVectorizedBatch()
+	ctx.Metrics.Add(cluster.VectorizedBatches, 1)
 	col := expr.MaterializeNumeric(x.E.DataType(), vals, nulls)
 	release()
 	return col, true, nil

@@ -85,10 +85,8 @@ func (e *CacheExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 	}
 	key := entryKey(e.structural, e.deps)
 	if rows, batch, ok, upgrades := e.cache.lookup(key); ok {
-		ctx.Metrics.AddCacheHit()
-		for ; upgrades > 0; upgrades-- {
-			ctx.Metrics.AddIncrementalUpgrade()
-		}
+		ctx.Metrics.Add(cluster.CacheHits, 1)
+		ctx.Metrics.Add(cluster.IncrementalUpgrades, int64(upgrades))
 		out := &cluster.Dataset{Parts: [][]types.Row{rows}}
 		if batch != nil {
 			out.Batches = []*skyline.Batch{batch}
@@ -100,7 +98,7 @@ func (e *CacheExec) Execute(ctx *cluster.Context) (*cluster.Dataset, error) {
 		})
 		return out, nil
 	}
-	ctx.Metrics.AddCacheMiss()
+	ctx.Metrics.Add(cluster.CacheMisses, 1)
 	ctx.Metrics.AddCostDecision(cluster.CostDecision{
 		Site: "result-cache", Choice: "miss", Rows: 0, Selectivity: -1,
 		Detail: "no entry at current table versions",

@@ -206,6 +206,15 @@ func decodeSegment(data []byte) ([]types.Row, error) {
 	rows := int(binary.LittleEndian.Uint32(data[off:]))
 	cols := int(binary.LittleEndian.Uint32(data[off+4:]))
 	off += 8
+	// Bound the claimed shape by the bytes that follow before allocating:
+	// every column needs its 9-byte header and every value at least two
+	// bits (a bool page), so a forged header cannot make the decoder
+	// allocate more than a small multiple of the segment's own size. A
+	// zero-width segment has no bytes to vouch for a row count.
+	rest := len(data) - off
+	if cols == 0 && rows > 0 || cols > rest/9 || uint64(rows)*uint64(cols) > 4*uint64(rest) {
+		return nil, errCorrupt("%d rows x %d columns exceed the %d-byte segment", rows, cols, len(data))
+	}
 	out := make([]types.Row, rows)
 	backing := make([]types.Value, rows*cols)
 	for i := range out {
@@ -216,15 +225,16 @@ func decodeSegment(data []byte) ([]types.Row, error) {
 			return nil, errCorrupt("truncated column header")
 		}
 		enc := int(data[off])
-		plen := int(binary.LittleEndian.Uint64(data[off+1:]))
+		plen := binary.LittleEndian.Uint64(data[off+1:])
 		off += 9
-		if off+plen > len(data) {
+		if plen > uint64(len(data)-off) {
 			return nil, errCorrupt("truncated column payload")
 		}
-		if err := decodeColumn(data[off:off+plen], enc, rows, cols, col, backing); err != nil {
+		end := off + int(plen)
+		if err := decodeColumn(data[off:end], enc, rows, cols, col, backing); err != nil {
 			return nil, err
 		}
-		off += plen
+		off = end
 	}
 	return out, nil
 }
@@ -265,15 +275,16 @@ func decodeColumn(p []byte, enc, rows, cols, col int, backing []types.Value) err
 			set(i, types.Bool(p[nb+i/8]&(1<<(i%8)) != 0))
 		}
 	case encDict:
+		// Every entry takes at least its one-byte length prefix.
 		dictLen, n := binary.Uvarint(p)
-		if n <= 0 {
+		if n <= 0 || dictLen > uint64(len(p)-n) {
 			return errCorrupt("dict length")
 		}
 		p = p[n:]
 		dict := make([]string, dictLen)
 		for d := range dict {
 			sl, n := binary.Uvarint(p)
-			if n <= 0 || int(sl) > len(p)-n {
+			if n <= 0 || sl > uint64(len(p)-n) {
 				return errCorrupt("dict entry")
 			}
 			dict[d] = string(p[n : n+int(sl)])
@@ -315,7 +326,7 @@ func decodeColumn(p []byte, enc, rows, cols, col int, backing []types.Value) err
 				p = p[8:]
 			case types.KindString:
 				sl, n := binary.Uvarint(p)
-				if n <= 0 || int(sl) > len(p)-n {
+				if n <= 0 || sl > uint64(len(p)-n) {
 					return errCorrupt("boxed string truncated")
 				}
 				set(i, types.Str(string(p[n:n+int(sl)])))
@@ -365,6 +376,10 @@ func encodeFooter(f *Footer) []byte {
 	return buf
 }
 
+// footerColMin is the smallest encoded footer column: a one-byte name
+// length, kind, nullable flag, five 8-byte stats and the histogram length.
+const footerColMin = 1 + 2 + 5*8 + 1
+
 func decodeFooter(p []byte) (Footer, error) {
 	var f Footer
 	if len(p) < 8 {
@@ -373,16 +388,21 @@ func decodeFooter(p []byte) (Footer, error) {
 	f.Rows = int(binary.LittleEndian.Uint32(p))
 	cols := int(binary.LittleEndian.Uint32(p[4:]))
 	p = p[8:]
+	// Each column's stats take at least footerColMin bytes; bound the
+	// claimed count before allocating.
+	if cols > len(p)/footerColMin {
+		return f, errCorrupt("footer claims %d columns in %d bytes", cols, len(p))
+	}
 	f.Cols = make([]ColumnStats, cols)
 	for i := range f.Cols {
 		c := &f.Cols[i]
 		nl, n := binary.Uvarint(p)
-		if n <= 0 || int(nl) > len(p)-n {
+		if n <= 0 || nl > uint64(len(p)-n) {
 			return f, errCorrupt("footer column name")
 		}
 		c.Name = string(p[n : n+int(nl)])
 		p = p[n+int(nl):]
-		if len(p) < 2+5*8+1 {
+		if len(p) < footerColMin-1 {
 			return f, errCorrupt("footer column stats")
 		}
 		c.Kind = types.Kind(p[0])

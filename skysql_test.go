@@ -517,8 +517,8 @@ func TestExplainStageTimesAfterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(before, "Stage Times") {
-		t.Error("stage times must not render before the first run")
+	if strings.Contains(before, "Run Metrics") {
+		t.Error("run metrics must not render before the first run")
 	}
 	if _, err := df.Collect(); err != nil {
 		t.Fatal(err)
@@ -527,7 +527,8 @@ func TestExplainStageTimesAfterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(after, "== Stage Times (last run) ==") || !strings.Contains(after, "stage  1:") {
+	if !strings.Contains(after, "== Run Metrics (last run) ==") || !strings.Contains(after, "stage times:") ||
+		!strings.Contains(after, "stage  1:") {
 		t.Errorf("explain after run must include the stage-time breakdown:\n%s", after)
 	}
 }
